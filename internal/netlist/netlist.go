@@ -282,7 +282,7 @@ func (c *Circuit) LogicGates() int {
 // acyclic circuit evaluates in a single topological pass; a circuit with
 // registered feedback edges evaluates to a three-valued fixed point and
 // returns ErrUnstable when the configuration oscillates or latches instead
-// of settling (see EvalCyclic).
+// of settling; it is lane 0 of the 64-lane evaluator (see LaneEval).
 func (c *Circuit) Eval(inputs, keys []bool) ([]bool, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -294,7 +294,7 @@ func (c *Circuit) Eval(inputs, keys []bool) ([]bool, error) {
 		return nil, fmt.Errorf("netlist %s: got %d key bits, want %d", c.Name, len(keys), len(c.Keys))
 	}
 	if len(c.Feedback) > 0 {
-		return c.evalCyclic(inputs, keys)
+		return c.evalLane0(inputs, keys)
 	}
 	vals := make([]bool, len(c.Gates))
 	in, key := 0, 0
@@ -333,129 +333,6 @@ func (c *Circuit) Eval(inputs, keys []bool) ([]bool, error) {
 		outs[i] = vals[id]
 	}
 	return outs, nil
-}
-
-// Three-valued logic for the cyclic evaluator: 0, 1, or X (undefined).
-const (
-	tv0 uint8 = 0
-	tv1 uint8 = 1
-	tvX uint8 = 2
-)
-
-// evalCyclic evaluates a circuit with feedback edges to a ternary fixed
-// point: every non-source gate starts at X and repeated in-order sweeps
-// refine values monotonically (X may become 0/1, defined values never
-// change), so the iteration converges within one sweep per gate. Controlling
-// values propagate through X — AND(0, X) = 0 — which is exactly how a broken
-// feedback MUX arm kills the undefined loop value under the correct key. Any
-// output still X at the fixed point means the configuration latches or
-// oscillates; that surfaces as ErrUnstable rather than an arbitrary value.
-func (c *Circuit) evalCyclic(inputs, keys []bool) ([]bool, error) {
-	vals := make([]uint8, len(c.Gates))
-	in, key := 0, 0
-	for id, g := range c.Gates {
-		switch g.Kind {
-		case GInput:
-			vals[id] = b2t(inputs[in])
-			in++
-		case GKey:
-			vals[id] = b2t(keys[key])
-			key++
-		case GConst:
-			vals[id] = b2t(g.Arg)
-		default:
-			vals[id] = tvX
-		}
-	}
-	for pass := 0; pass <= len(c.Gates); pass++ {
-		changed := false
-		for id, g := range c.Gates {
-			if g.Kind.arity() == 0 {
-				continue
-			}
-			var nv uint8
-			a := vals[g.A]
-			switch g.Kind {
-			case GNot:
-				nv = tNot(a)
-			case GBuf:
-				nv = a
-			case GAnd:
-				nv = tAnd(a, vals[g.B])
-			case GOr:
-				nv = tOr(a, vals[g.B])
-			case GXor:
-				nv = tXor(a, vals[g.B])
-			case GNand:
-				nv = tNot(tAnd(a, vals[g.B]))
-			case GNor:
-				nv = tNot(tOr(a, vals[g.B]))
-			case GXnor:
-				nv = tNot(tXor(a, vals[g.B]))
-			default:
-				return nil, fmt.Errorf("netlist %s: unknown gate kind %v", c.Name, g.Kind)
-			}
-			if nv != vals[id] {
-				vals[id] = nv
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	outs := make([]bool, len(c.Outputs))
-	for i, id := range c.Outputs {
-		switch vals[id] {
-		case tvX:
-			return nil, fmt.Errorf("%w: circuit %q output %d undefined under key %#x",
-				ErrUnstable, c.Name, i, BitsToUint64(keys))
-		case tv1:
-			outs[i] = true
-		}
-	}
-	return outs, nil
-}
-
-func b2t(v bool) uint8 {
-	if v {
-		return tv1
-	}
-	return tv0
-}
-
-func tNot(a uint8) uint8 {
-	if a == tvX {
-		return tvX
-	}
-	return a ^ 1
-}
-
-func tAnd(a, b uint8) uint8 {
-	if a == tv0 || b == tv0 {
-		return tv0
-	}
-	if a == tvX || b == tvX {
-		return tvX
-	}
-	return tv1
-}
-
-func tOr(a, b uint8) uint8 {
-	if a == tv1 || b == tv1 {
-		return tv1
-	}
-	if a == tvX || b == tvX {
-		return tvX
-	}
-	return tv0
-}
-
-func tXor(a, b uint8) uint8 {
-	if a == tvX || b == tvX {
-		return tvX
-	}
-	return a ^ b
 }
 
 // Validate checks structural invariants: topological fan-in order (except

@@ -51,10 +51,22 @@ func (f OracleFunc) Query(inputs []bool) ([]bool, error) { return f(inputs) }
 // circuit activated with its correct key (equivalently, the original
 // circuit).
 func OracleFromCircuit(c *netlist.Circuit, correctKey []bool) Oracle {
-	return OracleFunc(func(inputs []bool) ([]bool, error) {
-		return c.Eval(inputs, correctKey)
-	})
+	return circuitOracle{c: c, key: correctKey}
 }
+
+// circuitOracle is the in-process evaluation oracle. Besides Query it can
+// answer 64 patterns at once, which VerifyKey uses to sweep in blocks; any
+// wrapper around it hides that and gets the per-pattern query sequence.
+type circuitOracle struct {
+	c   *netlist.Circuit
+	key []bool
+}
+
+// Query implements Oracle.
+func (o circuitOracle) Query(inputs []bool) ([]bool, error) { return o.c.Eval(inputs, o.key) }
+
+// lanes returns a 64-lane evaluator of the activated circuit.
+func (o circuitOracle) lanes() (*keyedLanes, error) { return newKeyedLanes(o.c, o.key) }
 
 // Options tunes the attack.
 type Options struct {
@@ -544,66 +556,4 @@ func extractKey(ctx context.Context, ke *cnf.Encoder, keyVars []int, res *Result
 			res.Key[i] = ke.S.Value(v)
 		}
 	}
-}
-
-// exhaustiveBits bounds the exhaustive VerifyKey sweep: circuits up to this
-// many inputs check every pattern, larger ones a strided 2^exhaustiveBits
-// subset.
-const exhaustiveBits = 16
-
-// VerifyKey checks that the recovered key makes the locked circuit agree
-// with the oracle. It is exhaustive up to 2^16 input combinations and
-// samples a strided subset above that; the sweep honours ctx. An optional
-// RetryPolicy makes each oracle query resilient the same way Attack's are;
-// once the policy is exhausted on a query, VerifyKey returns an error
-// matching ErrOracleUnavailable rather than aborting on the first hiccup.
-func VerifyKey(ctx context.Context, locked *netlist.Circuit, key []bool, oracle Oracle, policy ...RetryPolicy) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var rp RetryPolicy
-	if len(policy) > 0 {
-		rp = policy[0]
-	}
-	q := newQuerier(oracle, rp, 1, 1, metrics.FromContext(ctx))
-	n := len(locked.Inputs)
-	// Count iterations rather than striding to a space bound: `1 << n`
-	// wraps to 0 at n = 64, which silently verified 64+-input circuits
-	// against zero patterns.
-	bits := n
-	if bits > 64 {
-		bits = 64
-	}
-	checks, stride := uint64(1)<<uint(bits), uint64(1)
-	if bits > exhaustiveBits {
-		checks = uint64(1) << uint(exhaustiveBits)
-		stride = uint64(1) << uint(bits-exhaustiveBits)
-	}
-	const checkEvery = 1024
-	for i := uint64(0); i < checks; i++ {
-		v := i * stride
-		if i%checkEvery == 0 {
-			if err := interrupt.Check(ctx, "satattack: verify key", nil); err != nil {
-				return err
-			}
-		}
-		in := netlist.Uint64ToBits(v, n)
-		got, err := locked.Eval(in, key)
-		if err != nil {
-			return err
-		}
-		want, err := q.query(ctx, in)
-		if err != nil {
-			if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-				return err
-			}
-			return fmt.Errorf("satattack: verify key at input %#x: %w", v, err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("satattack: key wrong at input %#x output %d", v, i)
-			}
-		}
-	}
-	return nil
 }

@@ -87,7 +87,10 @@ func TestSealedCacheTamperRecompute(t *testing.T) {
 		t.Fatal("tamper went uncounted: store_auth_fail_total = 0")
 	}
 
-	// The recompute re-sealed the entry: a third cold store serves it.
+	// The recompute re-sealed the entry: a third cold store serves it. The
+	// job is marked done before its Put reaches disk, and the poisoned file
+	// was dropped on the failed unseal, so wait for the fresh write.
+	waitCached(t, cacheDir, final.Key)
 	regC := metrics.New()
 	storeC, _ := sealedStore(t, cacheDir, keyPath, regC)
 	if data, ok := storeC.Get(final.Key); !ok || !bytes.Equal(data, ref.Result) {
