@@ -125,7 +125,10 @@ func BenchmarkAblationEvaluator(b *testing.B) {
 		Candidates: cands, Scheme: locking.SFLLRem,
 	}
 	b.Run("evaluator", func(b *testing.B) {
-		ev := codesign.NewEvaluator(p.G, p.Res.K, o)
+		ev, err := codesign.NewEvaluator(p.G, p.Res.K, o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sets := make([][]int, 3)
 		combos := codesign.Combinations(len(cands), 2)
 		for i := 0; i < b.N; i++ {

@@ -186,50 +186,59 @@ func Optimal(ctx context.Context, g *dfg.Graph, k *sim.KMatrix, o Options) (*Res
 	progress.Start(hook, "codesign", fmt.Sprintf("optimal over %d combinations", total))
 	mreg := metrics.FromContext(ctx)
 	defer mreg.Timer("codesign_seconds")()
-	ev := newEvaluator(g, k, &o)
+	tab := newTable(newEvaluator(g, k, &o), combos)
 
 	// The combination space shards by top-level (FU 0) combination: one task
 	// per combination, each enumerating its subtree sequentially with private
-	// scratch state against the shared immutable evaluator. The sequential
-	// enumeration keeps the FIRST maximum in lexicographic leaf order, which
-	// the merge reproduces: strict > within each subtree, then strict >
-	// across subtrees in ascending task order.
+	// scratch state against the shared immutable table, and sweeping the
+	// innermost locked FU in one pass per prefix. With a single locked FU
+	// the shard is its one leaf. The sequential enumeration keeps the FIRST
+	// maximum in lexicographic leaf order, which the merge reproduces: strict
+	// > within each subtree, then strict > across subtrees in ascending task
+	// order.
+	last := o.LockedFUs - 1
 	var ticks atomic.Int64
 	subs, done, perr := parallel.Map(ctx, 0, len(combos), func(tctx context.Context, ti int) (subtree, error) {
 		st := subtree{bestE: -1}
-		sets := make([][]int, o.NumFUs)
-		sets[0] = combos[ti]
+		sw := tab.newSweep()
+		pick := make([]int, o.LockedFUs)
+		pick[0] = ti
 		var rec func(fu int) error
 		rec = func(fu int) error {
-			if fu == o.LockedFUs {
-				st.enumerated++
-				// The check/tick stride counts evaluations globally across
-				// shards; subtrees are usually far smaller than the stride.
-				if ticks.Add(1)%ctxEvery == 0 {
-					if cerr := interrupt.Check(tctx, "codesign: optimal", nil); cerr != nil {
-						return cerr
-					}
-					progress.Tick(hook, "codesign", int(ticks.Load()), total)
-				}
-				if e := ev.eval(sets); e > st.bestE {
-					st.bestE = e
-					st.bestSets = make([][]int, o.NumFUs)
-					for i := range sets {
-						st.bestSets[i] = append([]int(nil), sets[i]...)
+			if fu < last {
+				for j := range combos {
+					pick[fu] = j
+					if err := rec(fu + 1); err != nil {
+						return err
 					}
 				}
 				return nil
 			}
-			for _, c := range combos {
-				sets[fu] = c
-				if err := rec(fu + 1); err != nil {
-					return err
+			lo, hi := 0, len(combos)
+			if last == 0 {
+				lo, hi = ti, ti+1
+			}
+			sw.reset(pick, last)
+			// The check/tick stride counts leaves globally across shards;
+			// each sweep reserves its leaves' ticks with one atomic add.
+			tick := ticks.Add(int64(hi-lo)) - int64(hi-lo)
+			for j := lo; j < hi; j++ {
+				st.enumerated++
+				if tick++; tick%ctxEvery == 0 {
+					if cerr := interrupt.Check(tctx, "codesign: optimal", nil); cerr != nil {
+						return cerr
+					}
+					progress.Tick(hook, "codesign", int(tick), total)
+				}
+				if e := sw.cost(j); e > st.bestE {
+					st.bestE = e
+					pick[last] = j
+					st.bestPick = append(st.bestPick[:0], pick...)
 				}
 			}
-			sets[fu] = nil
 			return nil
 		}
-		return st, rec(1)
+		return st, rec(min(1, last))
 	})
 	best := subtree{bestE: -1}
 	enumerated := 0
@@ -246,17 +255,17 @@ func Optimal(ctx context.Context, g *dfg.Graph, k *sim.KMatrix, o Options) (*Res
 	if perr != nil {
 		// Leaves the interruption cut off: the gap to the planned total.
 		mreg.Add("codesign_pruned_total", int64(total-enumerated))
-		return interruptedResult(ctx, g, k, &o, best.bestSets, enumerated, "codesign: optimal", perr, hook)
+		return interruptedResult(ctx, g, k, &o, tab.sets(best.bestPick), enumerated, "codesign: optimal", perr, hook)
 	}
 	progress.End(hook, "codesign", fmt.Sprintf("optimal: %d evaluated", enumerated))
-	return finalize(ctx, g, k, &o, best.bestSets, enumerated)
+	return finalize(ctx, g, k, &o, tab.sets(best.bestPick), enumerated)
 }
 
-// subtree is one shard's outcome in the parallel enumerations: the best
-// candidate-set assignment seen, its cost, and the leaves evaluated.
+// subtree is one shard's outcome in the exact enumeration: the best
+// per-FU combination indices seen, their cost, and the leaves evaluated.
 type subtree struct {
 	bestE      int
-	bestSets   [][]int
+	bestPick   []int
 	enumerated int
 }
 
@@ -285,7 +294,8 @@ func interruptedResult(ctx context.Context, g *dfg.Graph, k *sim.KMatrix, o *Opt
 // Heuristic runs the paper's P-time sequential algorithm: locked FUs are
 // processed one at a time; for the FU under consideration every candidate
 // combination is tried (with previously fixed FUs locked and later FUs
-// unlocked) and the best is frozen before moving on.
+// unlocked) and the best is frozen before moving on. Each round is one
+// sweep of that FU over the search's table.
 // Cancellation is checked every few hundred candidate evaluations; an
 // interrupted search returns the configuration frozen so far.
 func Heuristic(ctx context.Context, g *dfg.Graph, k *sim.KMatrix, o Options) (*Result, error) {
@@ -296,69 +306,52 @@ func Heuristic(ctx context.Context, g *dfg.Graph, k *sim.KMatrix, o Options) (*R
 		return nil, err
 	}
 	combos := combinations(len(o.Candidates), o.MintermsPerFU)
+	total := len(combos) * o.LockedFUs
 	hook := progress.FromContext(ctx)
 	progress.Start(hook, "codesign", fmt.Sprintf("heuristic over %d combinations per FU", len(combos)))
 	mreg := metrics.FromContext(ctx)
 	defer mreg.Timer("codesign_seconds")()
-	ev := newEvaluator(g, k, &o)
-	sets := make([][]int, o.NumFUs)
-	enumerated := 0
-	w := parallel.Workers(ctx, 0)
-	if w > len(combos) {
-		w = len(combos)
+	tab := newTable(newEvaluator(g, k, &o), combos)
+	sw := tab.newSweep()
+	pick := make([]int, o.LockedFUs)
+	ticks := 0
+	// round sweeps FU fu and returns its first best combination.
+	round := func(fu int) (int, error) {
+		if err := interrupt.Check(ctx, "codesign: heuristic", nil); err != nil {
+			return 0, err
+		}
+		sw.reset(pick, fu)
+		bestE, bestJ := -1, 0
+		for j := range combos {
+			if ticks++; ticks%ctxEvery == 0 {
+				if err := interrupt.Check(ctx, "codesign: heuristic", nil); err != nil {
+					return 0, err
+				}
+				progress.Tick(hook, "codesign", ticks, total)
+			}
+			if e := sw.cost(j); e > bestE {
+				bestE, bestJ = e, j
+			}
+		}
+		return bestJ, nil
 	}
-	var ticks atomic.Int64
+	enumerated := 0
 	for fu := 0; fu < o.LockedFUs; fu++ {
-		// The rounds themselves are inherently sequential (each freezes a
-		// FU before the next), but a round's combination scan shards into w
-		// contiguous chunks. Merging chunk maxima in ascending order with
-		// strict > reproduces the sequential scan's first-maximum choice.
-		chunks, done, perr := parallel.Map(ctx, w, w, func(tctx context.Context, ci int) (subtree, error) {
-			lo, hi := ci*len(combos)/w, (ci+1)*len(combos)/w
-			st := subtree{bestE: -1}
-			local := append([][]int(nil), sets...)
-			for j := lo; j < hi; j++ {
-				if ticks.Add(1)%ctxEvery == 0 {
-					if cerr := interrupt.Check(tctx, "codesign: heuristic", nil); cerr != nil {
-						return st, cerr
-					}
-					progress.Tick(hook, "codesign", int(ticks.Load()), len(combos)*o.LockedFUs)
-				}
-				local[fu] = combos[j]
-				st.enumerated++
-				if e := ev.eval(local); e > st.bestE {
-					st.bestE = e
-					st.bestSets = append([][]int(nil), local...)
-				}
-			}
-			return st, nil
-		})
-		best := subtree{bestE: -1}
-		for ci, st := range chunks {
-			if !done[ci] {
-				continue
-			}
-			enumerated += st.enumerated
-			if st.bestE > best.bestE {
-				best = st
-			}
-		}
-		if perr != nil {
+		j, err := round(fu)
+		if err != nil {
+			// The interrupted round is dropped: the partial result is the
+			// FUs frozen so far.
 			mreg.Add("codesign_evaluated_total", int64(enumerated))
-			mreg.Add("codesign_pruned_total", int64(len(combos)*o.LockedFUs-enumerated))
-			// Frozen FUs so far plus the interrupted round's best, if any.
-			partial := sets
-			if best.bestSets != nil {
-				partial = best.bestSets
-			}
-			return interruptedResult(ctx, g, k, &o, partial, enumerated, "codesign: heuristic", perr, hook)
+			mreg.Add("codesign_pruned_total", int64(total-enumerated))
+			return interruptedResult(ctx, g, k, &o, tab.sets(pick[:fu]), enumerated, "codesign: heuristic", err, hook)
 		}
+		enumerated += len(combos)
 		mreg.Add("codesign_rounds_total", 1)
-		sets = best.bestSets
+		pick[fu] = j
 	}
 	mreg.Add("codesign_evaluated_total", int64(enumerated))
 	progress.End(hook, "codesign", fmt.Sprintf("heuristic: %d evaluated", enumerated))
-	return finalize(ctx, g, k, &o, sets, enumerated)
+	return finalize(ctx, g, k, &o, tab.sets(pick), enumerated)
 }
 
 // Combinations returns all k-subsets of {0..n-1} in lexicographic order.
@@ -368,14 +361,21 @@ func Combinations(n, k int) [][]int {
 	return combinations(n, k)
 }
 
-// combinations returns all k-subsets of {0..n-1} in lexicographic order.
+// combinations returns all k-subsets of {0..n-1} in lexicographic order,
+// sharing one backing array.
 func combinations(n, k int) [][]int {
-	var out [][]int
+	count := 1
+	for i := 0; i < k; i++ {
+		count = count * (n - i) / (i + 1)
+	}
+	out := make([][]int, 0, count)
+	flat := make([]int, 0, count*k)
 	idx := make([]int, k)
 	var rec func(start, pos int)
 	rec = func(start, pos int) {
 		if pos == k {
-			out = append(out, append([]int(nil), idx...))
+			flat = append(flat, idx...)
+			out = append(out, flat[len(flat)-k:len(flat):len(flat)])
 			return
 		}
 		for i := start; i <= n-(k-pos); i++ {

@@ -51,8 +51,8 @@ func TestOptimalParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestHeuristicParallelDeterminism does the same for the P-time algorithm's
-// sharded per-round scans.
+// TestHeuristicParallelDeterminism does the same for the P-time algorithm,
+// whose rounds must ignore the worker count.
 func TestHeuristicParallelDeterminism(t *testing.T) {
 	g, k := fig1(t)
 	_, o := wideOptions(t)

@@ -366,10 +366,12 @@ func TestMethodology(t *testing.T) {
 // solution attached to a typed budget error.
 func TestOptimalCancellationMidSearch(t *testing.T) {
 	g, k := fig1(t)
-	// 18 candidates choose 3, over 2 locked FUs: 816^2 ≈ 666k evaluations —
-	// far more than a few milliseconds of search.
+	// 30 candidates choose 3, over 2 locked FUs: 4060^2 ≈ 16.5M evaluations.
+	// Even at the sweep's few nanoseconds per leaf that is far more than the
+	// deadline, while each FU-0 subtree (4060 leaves) completes well inside
+	// it, under -race too, so a best-so-far exists when the deadline lands.
 	var cands []dfg.Minterm
-	for i := 0; i < 18; i++ {
+	for i := 0; i < 30; i++ {
 		cands = append(cands, dfg.CanonMinterm(dfg.Add, uint8(10+i), uint8(40+i)))
 	}
 	o := Options{

@@ -1,25 +1,29 @@
 package codesign
 
 import (
+	"math"
+
 	"bindlock/internal/dfg"
 	"bindlock/internal/matching"
 	"bindlock/internal/sim"
 )
 
-// evaluator computes the Eqn. 2 cost of the obfuscation-aware binding for a
-// candidate-set assignment without materialising configs or bindings. The
-// enumeration loops of Optimal/Heuristic call it millions of times, so it
-// pre-tabulates candidate occurrence counts per operation and, for the small
-// FU counts typical of HLS (R ≤ 4), replaces the Hungarian solver with direct
-// enumeration of the per-cycle assignments.
+// Evaluator computes the Eqn. 2 cost of the obfuscation-aware binding for a
+// candidate-set assignment without materialising configs or bindings. It
+// holds the class ops cycle by cycle with dense candidate count rows and, for
+// the small FU counts typical of HLS (R ≤ 4), replaces the Hungarian solver
+// with direct enumeration of the per-cycle assignments.
 type Evaluator struct {
-	// cycles[t] lists the class ops of the t-th occupied cycle.
-	cycles [][]dfg.OpID
-	// cnt[op][c] is K_{candidate c, op}; op indexed by a dense remap.
-	cnt    map[dfg.OpID][]int
+	// ops lists the class ops cycle by cycle: the t-th occupied cycle holds
+	// ops[start[t]:start[t+1]]. Every per-op slice in this package uses this
+	// dense index.
+	ops   []dfg.OpID
+	start []int
+	// cnt[c][i] is K_{candidate c, ops[i]}: one dense row per candidate.
+	cnt    [][]int
 	numFUs int
-	// assignments[k] enumerates the injective maps of k ops onto FUs,
-	// precomputed when numFUs is small.
+	// assignments[k] enumerates the injective maps of k ops onto FUs when
+	// numFUs is small; nil selects the Hungarian path.
 	assignments [][][]int
 }
 
@@ -27,38 +31,48 @@ const directEnumFUs = 4
 
 // NewEvaluator builds an evaluator for the given problem. It is exported for
 // the experiment harness, which sweeps far more candidate-set assignments
-// than the co-design algorithms themselves.
-func NewEvaluator(g *dfg.Graph, k *sim.KMatrix, o Options) *Evaluator {
-	return newEvaluator(g, k, &o)
+// than the co-design algorithms themselves. It validates the problem as the
+// co-design algorithms do: a cycle with more class ops than FUs has no
+// binding at all, so it is an error rather than a silent cost of 0.
+func NewEvaluator(g *dfg.Graph, k *sim.KMatrix, o Options) (*Evaluator, error) {
+	if err := o.check(g, k); err != nil {
+		return nil, err
+	}
+	return newEvaluator(g, k, &o), nil
 }
 
+// newEvaluator builds an evaluator for a problem that passed Options.check.
 func newEvaluator(g *dfg.Graph, k *sim.KMatrix, o *Options) *Evaluator {
-	ev := &Evaluator{cnt: map[dfg.OpID][]int{}, numFUs: o.NumFUs}
+	ev := &Evaluator{numFUs: o.NumFUs, start: []int{0}}
 	for _, t := range g.SortedCycleList(o.Class) {
-		ops := g.AtCycle(o.Class, t)
-		ev.cycles = append(ev.cycles, ops)
-		for _, op := range ops {
-			row := make([]int, len(o.Candidates))
-			for ci, m := range o.Candidates {
-				row[ci] = k.Count(m, op)
-			}
-			ev.cnt[op] = row
+		ev.ops = append(ev.ops, g.AtCycle(o.Class, t)...)
+		ev.start = append(ev.start, len(ev.ops))
+	}
+	ev.cnt = make([][]int, len(o.Candidates))
+	for ci, m := range o.Candidates {
+		ev.cnt[ci] = make([]int, len(ev.ops))
+		for i, op := range ev.ops {
+			ev.cnt[ci][i] = k.Count(m, op)
 		}
 	}
 	if o.NumFUs <= directEnumFUs {
-		maxOps := 0
-		for _, ops := range ev.cycles {
-			if len(ops) > maxOps {
-				maxOps = len(ops)
-			}
-		}
-		ev.assignments = make([][][]int, maxOps+1)
-		for kk := 1; kk <= maxOps; kk++ {
-			ev.assignments[kk] = injections(kk, o.NumFUs)
-		}
+		ev.assignments = injectionTable[o.NumFUs]
 	}
 	return ev
 }
+
+// injectionTable[n][k] enumerates the injective maps of k ops onto n FUs
+// for every n ≤ directEnumFUs. It is built once and shared, read-only, by
+// every evaluator.
+var injectionTable = func() (t [directEnumFUs + 1][][][]int) {
+	for n := range t {
+		t[n] = make([][][]int, n+1)
+		for k := 1; k <= n; k++ {
+			t[n][k] = injections(k, n)
+		}
+	}
+	return t
+}()
 
 // injections enumerates all injective assignments of k sources onto n sinks.
 func injections(k, n int) [][]int {
@@ -97,16 +111,9 @@ func (ev *Evaluator) Eval(sets [][]int) int {
 // bound by a security-oblivious algorithm.
 func (ev *Evaluator) BaselineEval(opOnFU map[dfg.OpID]int, sets [][]int) int {
 	total := 0
-	for _, ops := range ev.cycles {
-		for _, op := range ops {
-			set := sets[opOnFU[op]]
-			if set == nil {
-				continue
-			}
-			row := ev.cnt[op]
-			for _, ci := range set {
-				total += row[ci]
-			}
+	for i, op := range ev.ops {
+		for _, ci := range sets[opOnFU[op]] {
+			total += ev.cnt[ci][i]
 		}
 	}
 	return total
@@ -120,13 +127,10 @@ func (ev *Evaluator) PerFUCandidateTotals(opOnFU map[dfg.OpID]int, numCands int)
 	for fu := range totals {
 		totals[fu] = make([]int, numCands)
 	}
-	for _, ops := range ev.cycles {
-		for _, op := range ops {
-			fu := opOnFU[op]
-			row := ev.cnt[op]
-			for c := 0; c < numCands; c++ {
-				totals[fu][c] += row[c]
-			}
+	for i, op := range ev.ops {
+		fu := opOnFU[op]
+		for c := 0; c < numCands; c++ {
+			totals[fu][c] += ev.cnt[c][i]
 		}
 	}
 	return totals
@@ -134,19 +138,15 @@ func (ev *Evaluator) PerFUCandidateTotals(opOnFU map[dfg.OpID]int, numCands int)
 
 func (ev *Evaluator) eval(sets [][]int) int {
 	total := 0
-	for _, ops := range ev.cycles {
+	for t := 0; t+1 < len(ev.start); t++ {
+		lo, hi := ev.start[t], ev.start[t+1]
 		if ev.assignments != nil {
 			best := 0
-			for _, as := range ev.assignments[len(ops)] {
+			for _, as := range ev.assignments[hi-lo] {
 				sum := 0
-				for i, op := range ops {
-					set := sets[as[i]]
-					if set == nil {
-						continue
-					}
-					row := ev.cnt[op]
-					for _, ci := range set {
-						sum += row[ci]
+				for i, f := range as {
+					for _, ci := range sets[f] {
+						sum += ev.cnt[ci][lo+i]
 					}
 				}
 				if sum > best {
@@ -157,17 +157,16 @@ func (ev *Evaluator) eval(sets [][]int) int {
 			continue
 		}
 		// Large allocations: fall back to the Hungarian solver.
-		w := make([][]float64, len(ops))
-		for i, op := range ops {
+		w := make([][]float64, hi-lo)
+		for i := range w {
 			w[i] = make([]float64, ev.numFUs)
-			row := ev.cnt[op]
 			for f := 0; f < ev.numFUs; f++ {
 				if sets[f] == nil {
 					continue
 				}
 				s := 0
 				for _, ci := range sets[f] {
-					s += row[ci]
+					s += ev.cnt[ci][lo+i]
 				}
 				w[i][f] = float64(s)
 			}
@@ -176,6 +175,132 @@ func (ev *Evaluator) eval(sets [][]int) int {
 		if err == nil {
 			total += int(sum + 0.5)
 		}
+	}
+	return total
+}
+
+// table is one search's tabulation of the errors each op contributes under
+// every candidate combination: w[j*len(ev.ops)+i] = Σ_{c ∈ combos[j]}
+// cnt[c][i]. It is built once per Optimal or Heuristic run and shared,
+// read-only, by every sweep of that run.
+type table struct {
+	ev     *Evaluator
+	combos [][]int
+	// w is nil on the Hungarian path, whose sweeps call eval per leaf.
+	w []int
+}
+
+func newTable(ev *Evaluator, combos [][]int) *table {
+	tab := &table{ev: ev, combos: combos}
+	if ev.assignments == nil {
+		return tab
+	}
+	nops := len(ev.ops)
+	tab.w = make([]int, len(combos)*nops)
+	for j, combo := range combos {
+		row := tab.w[j*nops : (j+1)*nops]
+		for _, ci := range combo {
+			for i, n := range ev.cnt[ci] {
+				row[i] += n
+			}
+		}
+	}
+	return tab
+}
+
+// sets expands per-FU combination indices (pick[f] for the first len(pick)
+// FUs; the rest unlocked) into Eval's candidate index sets.
+func (tab *table) sets(pick []int) [][]int {
+	sets := make([][]int, tab.ev.numFUs)
+	for f, j := range pick {
+		sets[f] = tab.combos[j]
+	}
+	return sets
+}
+
+// sweep scores every combination on one locked FU fu, with the FUs below fu
+// frozen and those above it unlocked: Optimal's innermost level and each
+// Heuristic round. Every injective assignment of a cycle's ops puts at most
+// one op on fu, so the cycle's optimum is the better of its best assignment
+// with no op on fu and, over each op i, its best with i on fu plus i's
+// errors under the swept combination. Those bests depend only on the frozen
+// FUs, so reset computes them once and each leaf costs O(ops).
+type sweep struct {
+	tab *table
+	fu  int
+	// a0[t] is cycle t's best assignment with no op on fu, floored at 0 as
+	// in eval; ai[i] is the best with op i on fu, excluding i's own errors.
+	a0, ai []int
+	// sets is the Hungarian path's per-leaf scratch.
+	sets [][]int
+}
+
+// newSweep returns private scratch for one goroutine's sweeps.
+func (tab *table) newSweep() *sweep {
+	ev := tab.ev
+	return &sweep{
+		tab:  tab,
+		a0:   make([]int, len(ev.start)-1),
+		ai:   make([]int, len(ev.ops)),
+		sets: make([][]int, ev.numFUs),
+	}
+}
+
+// reset freezes FU f < fu on combination pick[f], leaves the FUs above fu
+// unlocked, and prepares the sweep of fu.
+func (s *sweep) reset(pick []int, fu int) {
+	tab, ev := s.tab, s.tab.ev
+	s.fu = fu
+	if tab.w == nil {
+		clear(s.sets)
+		for f := 0; f < fu; f++ {
+			s.sets[f] = tab.combos[pick[f]]
+		}
+		return
+	}
+	nops := len(ev.ops)
+	for t := range s.a0 {
+		lo, hi := ev.start[t], ev.start[t+1]
+		s.a0[t] = 0
+		for i := lo; i < hi; i++ {
+			s.ai[i] = math.MinInt
+		}
+		for _, as := range ev.assignments[hi-lo] {
+			sum, on := 0, -1
+			for i, f := range as {
+				switch {
+				case f == fu:
+					on = lo + i
+				case f < fu:
+					sum += tab.w[pick[f]*nops+lo+i]
+				}
+			}
+			if on < 0 {
+				s.a0[t] = max(s.a0[t], sum)
+			} else {
+				s.ai[on] = max(s.ai[on], sum)
+			}
+		}
+	}
+}
+
+// cost returns eval's cost with FU fu on combination j.
+func (s *sweep) cost(j int) int {
+	tab, ev := s.tab, s.tab.ev
+	if tab.w == nil {
+		s.sets[s.fu] = tab.combos[j]
+		return ev.eval(s.sets)
+	}
+	nops := len(ev.ops)
+	row := tab.w[j*nops : (j+1)*nops]
+	total := 0
+	for t, best := range s.a0 {
+		lo, hi := ev.start[t], ev.start[t+1]
+		ai, w := s.ai[lo:hi], row[lo:hi]
+		for i, a := range ai {
+			best = max(best, a+w[i])
+		}
+		total += best
 	}
 	return total
 }

@@ -43,7 +43,7 @@ func TestEvaluatorExportedAPI(t *testing.T) {
 
 	o := Options{Class: dfg.ClassAdd, NumFUs: 2, LockedFUs: 1, MintermsPerFU: 1,
 		Candidates: cands, Scheme: locking.SFLLRem}
-	ev := NewEvaluator(g, k, o)
+	ev := mustEvaluator(t, g, k, o)
 
 	// FU0 locks candidate 0: optimal binding grabs ops 0 (5) and 2 (7).
 	if got := ev.Eval([][]int{{0}, nil}); got != 12 {
@@ -87,7 +87,7 @@ func TestEvaluatorHungarianFallback(t *testing.T) {
 	const numFUs = 6
 	o := Options{Class: dfg.ClassAdd, NumFUs: numFUs, LockedFUs: 2, MintermsPerFU: 1,
 		Candidates: cands, Scheme: locking.SFLLRem}
-	ev := NewEvaluator(g, k, o)
+	ev := mustEvaluator(t, g, k, o)
 	if ev.assignments != nil {
 		t.Fatal("allocation of 6 FUs must use the Hungarian fallback")
 	}
@@ -131,8 +131,8 @@ func TestEvaluatorPathsAgreeQuick(t *testing.T) {
 		numFUs := 3
 		o := Options{Class: dfg.ClassAdd, NumFUs: numFUs, LockedFUs: 2, MintermsPerFU: 1,
 			Candidates: cands, Scheme: locking.SFLLRem}
-		evDirect := NewEvaluator(g, k, o)
-		evHung := NewEvaluator(g, k, o)
+		evDirect := mustEvaluator(t, g, k, o)
+		evHung := mustEvaluator(t, g, k, o)
 		evHung.assignments = nil // force the Hungarian path
 		sets := [][]int{{r.Intn(2)}, {r.Intn(2)}, nil}
 		return evDirect.Eval(sets) == evHung.Eval(sets)
@@ -149,6 +149,16 @@ func TestCombinationsExported(t *testing.T) {
 	if got := len(Combinations(5, 1)); got != 5 {
 		t.Fatalf("C(5,1) = %d, want 5", got)
 	}
+}
+
+// mustEvaluator builds an evaluator for a problem the test knows is valid.
+func mustEvaluator(t testing.TB, g *dfg.Graph, k *sim.KMatrix, o Options) *Evaluator {
+	t.Helper()
+	ev, err := NewEvaluator(g, k, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
 }
 
 // newRand avoids importing math/rand at top level in multiple test files.

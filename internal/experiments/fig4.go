@@ -144,7 +144,10 @@ func (s *Suite) fig4BenchClass(ctx context.Context, p *mediabench.Prepared, clas
 				return nil, cerr
 			}
 			o := codesignOptions(class, cfg.NumFUs, lockedFUs, inputs, cands, cfg.OptimalBudget)
-			ev := codesign.NewEvaluator(p.G, p.Res.K, o)
+			ev, err := codesign.NewEvaluator(p.G, p.Res.K, o)
+			if err != nil {
+				return nil, err
+			}
 			areaTotals := ev.PerFUCandidateTotals(area.Assign, len(cands))
 			powerTotals := ev.PerFUCandidateTotals(power.Assign, len(cands))
 

@@ -9,8 +9,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -119,26 +121,54 @@ type MintermCount struct {
 // trace to select the most common inputs in the DFG (i.e. the top 'x' most
 // common inputs)" (Sec. V-B).
 func (k *KMatrix) TopMinterms(g *dfg.Graph, c dfg.Class, topK int) []MintermCount {
-	agg := map[dfg.Minterm]int{}
-	for _, id := range g.OpsOfClass(c) {
+	ops := g.OpsOfClass(c)
+	// The sum of the per-op supports bounds the distinct minterms, so the
+	// aggregate never rehashes.
+	size := 0
+	for _, id := range ops {
+		size += len(k.perOp[id])
+	}
+	agg := make(map[dfg.Minterm]int, size)
+	for _, id := range ops {
 		for m, n := range k.perOp[id] {
 			agg[m] += n
 		}
 	}
-	all := make([]MintermCount, 0, len(agg))
-	for m, n := range agg {
-		all = append(all, MintermCount{M: m, Count: n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+	if topK >= len(agg) {
+		all := make([]MintermCount, 0, len(agg))
+		for m, n := range agg {
+			all = append(all, MintermCount{M: m, Count: n})
 		}
-		return all[i].M < all[j].M
-	})
-	if topK > len(all) {
-		topK = len(all)
+		slices.SortFunc(all, cmpMintermCount)
+		return all
 	}
-	return all[:topK]
+	if topK <= 0 {
+		return []MintermCount{}
+	}
+	// Keep the best topK in order by insertion: once the buffer is full,
+	// almost every minterm loses to its last entry and costs one compare.
+	top := make([]MintermCount, 0, topK)
+	for m, n := range agg {
+		mc := MintermCount{M: m, Count: n}
+		if len(top) == topK {
+			if cmpMintermCount(mc, top[topK-1]) > 0 {
+				continue
+			}
+			top = top[:topK-1]
+		}
+		i, _ := slices.BinarySearchFunc(top, mc, cmpMintermCount)
+		top = slices.Insert(top, i, mc)
+	}
+	return top
+}
+
+// cmpMintermCount orders TopMinterms' result: count descending, then minterm
+// ascending.
+func cmpMintermCount(a, b MintermCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.M, b.M)
 }
 
 // Result carries everything one simulation produces.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,6 +146,63 @@ y = a + b;
 	top := res.K.TopMinterms(g, dfg.ClassAdd, 2)
 	if top[0].M >= top[1].M {
 		t.Errorf("ties must break by minterm value: %v", top)
+	}
+}
+
+// TestTopMintermsMatchesFullSort: on random K matrices, heavy with count
+// ties, the top-k selection returns exactly the prefix of the full
+// aggregate sorted by count descending, then minterm ascending, for every k.
+func TestTopMintermsMatchesFullSort(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := dfg.New("rand")
+		a, b := g.AddInput("a"), g.AddInput("b")
+		for i := 1 + r.Intn(6); i > 0; i-- {
+			g.AddBinary(dfg.Add, a, b)
+			g.AddBinary(dfg.Mul, a, b)
+		}
+		k := NewKMatrix(len(g.Ops))
+		distinct := 1 + r.Intn(300)
+		for _, op := range g.Ops {
+			if !op.Kind.IsBinary() {
+				continue
+			}
+			for n := r.Intn(200); n > 0; n-- {
+				k.Add(dfg.Minterm(r.Intn(distinct)), op.ID, 1+r.Intn(4))
+			}
+		}
+
+		agg := map[dfg.Minterm]int{}
+		for _, id := range g.OpsOfClass(dfg.ClassAdd) {
+			for _, m := range k.OpMinterms(id) {
+				agg[m] += k.Count(m, id)
+			}
+		}
+		var want []MintermCount
+		for m, n := range agg {
+			want = append(want, MintermCount{M: m, Count: n})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Count != want[j].Count {
+				return want[i].Count > want[j].Count
+			}
+			return want[i].M < want[j].M
+		})
+		for _, topK := range []int{0, 1, 2, 10, len(want) / 2, len(want) - 1, len(want), len(want) + 5} {
+			if topK < 0 {
+				continue
+			}
+			got := k.TopMinterms(g, dfg.ClassAdd, topK)
+			exp := want[:min(topK, len(want))]
+			if len(got) != len(exp) {
+				t.Fatalf("seed %d k=%d: %d minterms, want %d", seed, topK, len(got), len(exp))
+			}
+			for i := range exp {
+				if got[i] != exp[i] {
+					t.Fatalf("seed %d k=%d: entry %d = %+v, want %+v", seed, topK, i, got[i], exp[i])
+				}
+			}
+		}
 	}
 }
 
