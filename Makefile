@@ -72,12 +72,13 @@ bench:
 	$(GO) run ./cmd/benchpar -benchmem -attack-reps 5 -o BENCH_parallel.json
 
 # bench-smoke is the CI-sized benchpar run: tiny workloads, a throwaway
-# output file, but the same determinism gates — -j 1 vs -j N fingerprints and
-# rebuild-vs-incremental attack fingerprints must all match or it exits 1 —
-# plus a benchstat-style throughput gate: sat-attack-modes iters/sec on the
-# pinned fast kernel must stay within BENCH_REGRESS of the checked-in
-# BENCH_smoke_baseline.json (skipped with a warning when the hardware
-# fingerprint differs from the baseline's).
+# output file, but the same determinism gates — -j 1 vs -j N fingerprints
+# must match, and every attack and solver row (sat-attack-modes,
+# cyclic-attack-modes, sat-prop-rate) must reproduce its fingerprint in the
+# checked-in BENCH_smoke_baseline.json on any hardware, or it exits 1 — plus
+# a benchstat-style throughput gate: those rows' iters/sec and props/sec
+# must stay within BENCH_REGRESS of the baseline (skipped with a warning
+# when the hardware fingerprint differs from the baseline's).
 BENCH_REGRESS ?= 0.20
 bench-smoke:
 	$(GO) run ./cmd/benchpar -samples 60 -secrets 2 -bench fir -attack-width 3 \

@@ -453,30 +453,6 @@ func PrepareBenchmark(ctx context.Context, name string, opts ...Option) (*Design
 	return prepareGraph(ctx, g, cfg)
 }
 
-// PrepareArgs is the original positional form of Prepare.
-//
-// Deprecated: use Prepare with a context and options.
-func PrepareArgs(src string, maxFUs, samples int, gen WorkloadKind, seed int64) (*Design, error) {
-	return Prepare(context.Background(), src,
-		WithMaxFUs(maxFUs), WithSamples(samples), WithWorkload(gen), WithSeed(seed))
-}
-
-// PrepareGraphArgs is the original positional form of PrepareGraph.
-//
-// Deprecated: use PrepareGraph with a context and options.
-func PrepareGraphArgs(g *Graph, maxFUs, samples int, gen WorkloadKind, seed int64) (*Design, error) {
-	return PrepareGraph(context.Background(), g,
-		WithMaxFUs(maxFUs), WithSamples(samples), WithWorkload(gen), WithSeed(seed))
-}
-
-// PrepareBenchmarkArgs is the original positional form of PrepareBenchmark.
-//
-// Deprecated: use PrepareBenchmark with a context and options.
-func PrepareBenchmarkArgs(name string, maxFUs, samples int, seed int64) (*Design, error) {
-	return PrepareBenchmark(context.Background(), name,
-		WithMaxFUs(maxFUs), WithSamples(samples), WithSeed(seed))
-}
-
 // Candidates returns the k most frequent input minterms of the class over
 // the design's workload — the default candidate locked input list C of
 // Sec. V-B.
@@ -692,15 +668,6 @@ func WithSolverBackend(name string) AttackOption {
 	return func(c *attackConfig) { c.opts.Solver = name }
 }
 
-// WithIncremental keeps only the warm miter solver busy during the DIP loop
-// and defers the constraint-only key solver to extraction time, rebuilding
-// it from the oracle transcript. Keys and deterministic metrics are
-// bit-identical to the default rebuild mode; the per-iteration encoding work
-// is roughly halved.
-func WithIncremental() AttackOption {
-	return func(c *attackConfig) { c.opts.Incremental = true }
-}
-
 // WithAttackIterations bounds the DIP loop: the attack stops with a typed
 // budget error — and the best-so-far key — after n iterations.
 func WithAttackIterations(n int) AttackOption {
@@ -711,15 +678,6 @@ func WithAttackIterations(n int) AttackOption {
 // conflicts, surfacing as a typed budget error when exhausted.
 func WithSolverConflicts(n int64) AttackOption {
 	return func(c *attackConfig) { c.opts.MaxConflicts = n }
-}
-
-// WithCycleBreak conjoins CycSAT structural "no combinational cycle" key
-// constraints into every attack solver. Required for cyclically locked
-// circuits (CyclicLockAndAttack, AttackDesignCyclic) — without it the
-// acyclic miter keeps re-finding latch fixed points and the DIP loop
-// diverges. A no-op on acyclic circuits.
-func WithCycleBreak() AttackOption {
-	return func(c *attackConfig) { c.opts.CycleBreak = true }
 }
 
 // SolverBackends lists the registered sat solver engine names, sorted.
@@ -764,7 +722,7 @@ func LockAndAttack(ctx context.Context, operandBits int, secret uint64, options 
 // drawn from seed — and runs the CycSAT-constrained oracle-guided attack
 // against it. The cycle-breaking constraints are always on: this function
 // exists to demonstrate that the constrained attack terminates where the
-// plain one (LockAndAttack's machinery without WithCycleBreak) diverges.
+// plain one (LockAndAttack's machinery) diverges.
 func CyclicLockAndAttack(ctx context.Context, operandBits, cycles, decoys int, seed int64, options ...AttackOption) (*AttackOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -818,11 +776,10 @@ func resolveCyclicAttack(ctx context.Context, locked *netlist.Circuit, options [
 // AttackDesign runs the oracle-guided SAT attack against an elaborated
 // design — the whole bound datapath with its locked FUs realised as SFLL
 // hardware — instead of a single synthetic FU. The same option surface as
-// LockAndAttack applies: retry, voting, fault injection, checkpoint/resume,
-// solver backend and incremental mode. Full attacks on paper-sized locking
-// configurations are expensive by design (that is Eqn. 1's point); bound
-// exploratory runs with WithAttackIterations or a context deadline, and read
-// the partial outcome.
+// LockAndAttack applies: retry, voting, fault injection, checkpoint/resume
+// and solver backend. Full attacks on paper-sized locking configurations are
+// expensive by design (that is Eqn. 1's point); bound exploratory runs with
+// WithAttackIterations or a context deadline, and read the partial outcome.
 func AttackDesign(ctx context.Context, ed *ElaboratedDesign, options ...AttackOption) (*AttackOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -882,11 +839,4 @@ func runGateAttack(ctx context.Context, locked *netlist.Circuit, correctKey []bo
 		return nil, err
 	}
 	return outcome(res), nil
-}
-
-// LockAndAttackArgs is the original context-free form of LockAndAttack.
-//
-// Deprecated: use LockAndAttack with a context.
-func LockAndAttackArgs(operandBits int, secret uint64) (*AttackOutcome, error) {
-	return LockAndAttack(context.Background(), operandBits, secret)
 }

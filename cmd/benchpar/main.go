@@ -13,16 +13,19 @@
 // per workload (the Fig. 4 sweep and the SAT-resilience sweep), each carrying
 // sequential and parallel timings, the speedup ratio, and the shared
 // fingerprint, plus a "metrics" snapshot of the run's aggregated counters.
-// A third workload, sat-attack-modes, compares the SAT attack's rebuild and
-// incremental key-solver modes on one SFLL-locked adder (-attack-width): the
-// same fingerprint discipline applies — both modes must recover bit-identical
-// keys over identical DIP sequences — and each timing reports attack
-// throughput as iterations/sec from the satattack_iteration_seconds
-// histogram. A fourth, cyclic-attack-modes, applies the same discipline to
-// the CycSAT-constrained attack on a cyclically locked adder. A fifth,
-// sat-prop-rate, isolates raw unit-propagation throughput on budgeted random
-// 3-SAT, comparing the arena clause layout against the frozen pre-arena
-// engine where the layout's effect is actually visible.
+// A third workload, sat-attack-modes, times the exact SAT attack on one
+// SFLL-locked adder (-attack-width) and reports attack throughput as
+// iterations/sec from the satattack_iteration_seconds histogram; its
+// fingerprint covers the recovered key and the DIP count. A fourth,
+// cyclic-attack-modes, does the same for the CycSAT-constrained attack on a
+// cyclically locked adder. A fifth, sat-prop-rate, isolates raw
+// unit-propagation throughput on budgeted random 3-SAT, run twice on the
+// same engine. Each of these rows names its configuration in a mode, and
+// every repetition of a mode must reproduce its fingerprint.
+//
+// -baseline compares the run with a checked-in report: each baseline row
+// that has a mode must reproduce its fingerprint on any hardware, and on the
+// baseline's own hardware its throughput must also stay within -max-regress.
 // On single-core machines the speedup is honestly ~1x; the determinism check
 // is the part that must always hold. -metrics additionally writes the
 // snapshot to its own file; -cpuprofile/-memprofile capture pprof profiles of
@@ -54,8 +57,8 @@ import (
 )
 
 // Timing is one measurement: a (workload, worker count) pair for the
-// parallelism sweeps, or a (workload, attack mode) pair for the solver-mode
-// comparison.
+// parallelism sweeps, or a (workload, mode) pair for the attack and solver
+// rows.
 type Timing struct {
 	Jobs        int     `json:"jobs"`
 	Mode        string  `json:"mode,omitempty"`
@@ -71,16 +74,14 @@ type Timing struct {
 	Fingerprint string  `json:"fingerprint"`
 }
 
-// Workload aggregates the sequential/parallel pair for one sweep.
+// Workload aggregates the runs of one workload: the sequential/parallel
+// pair of a sweep, or the moded rows of an attack or solver workload.
 type Workload struct {
-	Name    string   `json:"name"`
-	Runs    []Timing `json:"runs"`
-	Speedup float64  `json:"speedup"`
-	// ArenaSpeedup is sat-attack-modes only: arena-solver ("cdcl") rebuild
-	// throughput over the frozen pre-arena solver ("cdcl-slices"), in
-	// iterations/sec. The legacy run is excluded from the determinism
-	// check — its DIP transcript legitimately differs (see internal/sat).
-	ArenaSpeedup  float64 `json:"arena_speedup,omitempty"`
+	Name string   `json:"name"`
+	Runs []Timing `json:"runs"`
+	// Speedup is -j 1 over -j N wall time; workloads that compare no two
+	// configurations leave it out.
+	Speedup       float64 `json:"speedup,omitempty"`
 	Deterministic bool    `json:"deterministic"`
 }
 
@@ -100,7 +101,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	benches := flag.String("bench", "fir,jdmerge3,ecb_enc4", "comma-separated benchmark subset for the sweep")
 	secrets := flag.Int("secrets", 4, "secrets per key width in the resilience sweep")
-	attackWidth := flag.Int("attack-width", 4, "adder operand width for the sat-attack-modes comparison")
+	attackWidth := flag.Int("attack-width", 4, "adder operand width for the sat-attack-modes and cyclic-attack-modes workloads")
 	attackReps := flag.Int("attack-reps", 1, "repetitions per attack mode; the best run is reported (noise floor for the -baseline gate)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel worker count to compare against -j 1")
 	out := flag.String("o", "BENCH_parallel.json", "output JSON path")
@@ -108,7 +109,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchMem := flag.Bool("benchmem", false, "record heap-allocation deltas (mallocs, bytes) per run in the report")
-	baseline := flag.String("baseline", "", "compare sat-attack-modes throughput against this checked-in report; regressions beyond -max-regress fail")
+	baseline := flag.String("baseline", "", "compare every moded row with this checked-in report: fingerprints must match, and on the same hardware throughput must stay within -max-regress")
 	maxRegress := flag.Float64("max-regress", 0.20, "allowed fractional iters/sec regression against -baseline")
 	flag.Parse()
 
@@ -196,30 +197,23 @@ func main() {
 		rep.Workloads = append(rep.Workloads, w)
 	}
 
-	// The attack-mode comparison is a different axis: rebuild vs incremental
-	// key-solver modes on one locked FU, each on a fresh registry so the
-	// iteration histogram isolates one mode.
+	// The attack rows time one key recovery each, on a fresh registry per
+	// repetition so the iteration histogram covers one run.
 	w, err := attackModes(ctx, *attackWidth, *attackReps)
 	if err != nil {
 		fail("sat-attack-modes: ", err)
 	}
-	ok = ok && w.Deterministic
 	rep.Workloads = append(rep.Workloads, w)
-
-	// The cyclic comparison runs the CycSAT-constrained attack on a cyclically
-	// locked adder in both key-solver modes; the fingerprint discipline is the
-	// same as sat-attack-modes.
 	w, err = cyclicAttackModes(ctx, *attackWidth, *attackReps, *seed)
 	if err != nil {
 		fail("cyclic-attack-modes: ", err)
 	}
-	ok = ok && w.Deterministic
 	rep.Workloads = append(rep.Workloads, w)
 
-	// The propagation-rate comparison isolates the solver hot loop the arena
-	// layout was built for; attack iterations are encode- and oracle-bound at
-	// benchmark widths, so the layout's effect only shows on instances where
-	// unit propagation dominates.
+	// The propagation-rate rows isolate the solver hot loop; attack
+	// iterations are encode- and oracle-bound at benchmark widths, so
+	// solver throughput only shows on instances where unit propagation
+	// dominates.
 	w, err = satPropRate(*attackReps)
 	if err != nil {
 		fail("sat-prop-rate: ", err)
@@ -251,12 +245,15 @@ func main() {
 	tel.Exit(cli.ExitOK)
 }
 
-// gateBaseline is the benchstat-style CI gate: it compares the current
-// sat-attack-modes and sat-prop-rate throughputs against a checked-in
-// baseline report and fails on a regression beyond maxRegress. Throughput is
-// only comparable on the hardware that recorded the baseline, so a
-// NumCPU/GOMAXPROCS/Go-version mismatch skips the gate with a warning instead
-// of failing on numbers that were never commensurable.
+// gateBaseline is the CI gate against a checked-in baseline report. First,
+// on any hardware, every baseline row that has a mode must reappear in this
+// run with the same fingerprint: the attack and solver rows are
+// deterministic, so a changed key, DIP count or solver counter is a
+// behaviour change, not noise. Then the benchstat-style throughput gate
+// fails on a regression beyond maxRegress. Throughput is only comparable on
+// the hardware that recorded the baseline, so a NumCPU/GOMAXPROCS/Go-version
+// mismatch skips that half with a warning instead of failing on numbers that
+// were never commensurable.
 func gateBaseline(rep Report, path string, maxRegress float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -265,6 +262,31 @@ func gateBaseline(rep Report, path string, maxRegress float64) error {
 	var base Report
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	fingerprints := func(r Report) map[string]string {
+		m := map[string]string{}
+		for _, w := range r.Workloads {
+			for _, t := range w.Runs {
+				if t.Mode != "" {
+					m[w.Name+"/"+t.Mode] = t.Fingerprint
+				}
+			}
+		}
+		return m
+	}
+	baseFPs, curFPs := fingerprints(base), fingerprints(rep)
+	if len(baseFPs) == 0 {
+		return fmt.Errorf("%s carries no moded rows to gate on", path)
+	}
+	for _, mode := range sortedKeys(baseFPs) {
+		got, found := curFPs[mode]
+		switch {
+		case !found:
+			return fmt.Errorf("mode %q in baseline %s is missing from this run", mode, path)
+		case got != baseFPs[mode]:
+			return fmt.Errorf("mode %q fingerprint %s, baseline %s records %s", mode, got, path, baseFPs[mode])
+		}
+		fmt.Printf("baseline %-36s fingerprint %s ok\n", mode, got)
 	}
 	if base.NumCPU != rep.NumCPU || base.GOMAXPROCS != rep.GOMAXPROCS || base.GoVersion != rep.GoVersion {
 		fmt.Fprintf(os.Stderr,
@@ -306,7 +328,7 @@ func gateBaseline(rep Report, path string, maxRegress float64) error {
 			verdict = "REGRESSION"
 			regressed = append(regressed, mode)
 		}
-		fmt.Printf("baseline %-28s %12.1f -> %12.1f /s (floor %.1f) %s\n",
+		fmt.Printf("baseline %-36s %12.1f -> %12.1f /s (floor %.1f) %s\n",
 			mode, want, got, floor, verdict)
 	}
 	if len(regressed) > 0 {
@@ -317,7 +339,7 @@ func gateBaseline(rep Report, path string, maxRegress float64) error {
 }
 
 // sortedKeys gives the gate a stable report order.
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -376,178 +398,98 @@ func measure(name string, run func(j int) (string, error), jobs int) (Workload, 
 	return w, nil
 }
 
-// attackModes times the exact SAT attack on an SFLL-locked adder in both
-// key-solver modes — eager rebuild and incremental (one warm miter solver
-// across DIP iterations) — and reports attack throughput as iterations/sec
-// from each run's satattack_iteration_seconds histogram. The fingerprint
-// covers the recovered key bits and the iteration count: the two modes are
-// bit-identical by construction, so the determinism flag must hold here
-// exactly as it does across worker counts.
+// attackModes times the exact SAT attack on an SFLL-locked adder.
 func attackModes(ctx context.Context, width, reps int) (Workload, error) {
-	w := Workload{Name: "sat-attack-modes"}
 	base, err := netlist.NewAdder(width)
 	if err != nil {
-		return w, err
+		return Workload{}, err
 	}
 	secret := (uint64(1)<<(2*width) - 1) / 3 // 0b0101… pattern, always in range
 	locked, key, err := netlist.LockSFLLHD0(base, []uint64{secret})
 	if err != nil {
-		return w, err
+		return Workload{}, err
 	}
-	if reps < 1 {
-		reps = 1
-	}
-	for _, mode := range []struct {
-		name        string
-		solver      string
-		incremental bool
-	}{
-		{"rebuild", "", false},
-		{"incremental", "", true},
-		// The frozen pre-arena solver, for an honest measure of what the
-		// arena clause layout buys: same attack, same instance, the old
-		// slice-of-slices engine. Its fingerprint is NOT part of the
-		// determinism check — the engines walk different DIP sequences.
-		{"rebuild-legacy", "cdcl-slices", false},
-	} {
-		// Best-of-reps: scheduler noise only ever slows a run down, so the
-		// fastest repetition is the stable estimate the -baseline gate needs.
-		// Every repetition must produce the same fingerprint — a repetition
-		// that doesn't is a determinism violation, not noise.
-		var t Timing
-		for rep := 0; rep < reps; rep++ {
-			reg := metrics.New()
-			mctx := metrics.NewContext(ctx, reg)
-			oracle := satattack.OracleFromCircuit(locked, key)
-			var res *satattack.Result
-			secs, mallocs, allocBytes, err := timed(func() error {
-				var aerr error
-				res, aerr = satattack.Attack(mctx, locked, oracle, satattack.Options{
-					Solver:      mode.solver,
-					Incremental: mode.incremental,
-				})
-				return aerr
-			})
-			if err != nil {
-				return w, err
-			}
-			rt := Timing{
-				Jobs: 1, Mode: mode.name, Seconds: secs, Fingerprint: attackFingerprint(res),
-				Mallocs: mallocs, AllocBytes: allocBytes,
-			}
-			if h, found := reg.Snapshot().Histogram("satattack_iteration_seconds"); found && h.Sum > 0 {
-				rt.ItersPerSec = float64(h.Count) / h.Sum
-			}
-			if rep == 0 {
-				t = rt
-				continue
-			}
-			if rt.Fingerprint != t.Fingerprint {
-				return w, fmt.Errorf("%s repetition %d changed fingerprint %s -> %s",
-					mode.name, rep, t.Fingerprint, rt.Fingerprint)
-			}
-			if rt.ItersPerSec > t.ItersPerSec {
-				t = rt
-			}
-		}
-		w.Runs = append(w.Runs, t)
-		fmt.Printf("%-16s %-14s %8.3fs  %10.1f iters/s  %s\n",
-			w.Name, mode.name, t.Seconds, t.ItersPerSec, t.Fingerprint)
-	}
-	w.Deterministic = w.Runs[0].Fingerprint == w.Runs[1].Fingerprint
-	if w.Runs[1].Seconds > 0 {
-		w.Speedup = w.Runs[0].Seconds / w.Runs[1].Seconds
-	}
-	if w.Runs[2].ItersPerSec > 0 {
-		w.ArenaSpeedup = w.Runs[0].ItersPerSec / w.Runs[2].ItersPerSec
-	}
-	return w, nil
+	return timeAttack(ctx, "sat-attack-modes", "rebuild", locked, key, satattack.Options{}, reps)
 }
 
 // cyclicAttackModes times the CycSAT-constrained attack on a cyclically
-// locked adder (SRCLock-style feedback MUXes plus decoys) in rebuild and
-// incremental mode. Same discipline as sat-attack-modes: both modes must
-// recover bit-identical keys over identical DIP sequences.
+// locked adder (SRCLock-style feedback MUXes plus decoys).
 func cyclicAttackModes(ctx context.Context, width, reps int, seed int64) (Workload, error) {
-	w := Workload{Name: "cyclic-attack-modes"}
 	base, err := netlist.NewAdder(width)
 	if err != nil {
-		return w, err
+		return Workload{}, err
 	}
 	locked, key, err := netlist.LockCyclic(base, 2, 2, seed)
 	if err != nil {
-		return w, err
+		return Workload{}, err
 	}
+	return timeAttack(ctx, "cyclic-attack-modes", "cycsat-rebuild", locked, key,
+		satattack.Options{CycleBreak: true}, reps)
+}
+
+// timeAttack runs one attack configuration reps times, checks every
+// recovered key against the oracle, and reports the fastest repetition with
+// its throughput as iterations/sec from the run's
+// satattack_iteration_seconds histogram. The fingerprint covers the
+// recovered key bits and the iteration count.
+func timeAttack(ctx context.Context, name, mode string, locked *netlist.Circuit, key []bool, opts satattack.Options, reps int) (Workload, error) {
+	w := Workload{Name: name}
 	if reps < 1 {
 		reps = 1
 	}
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{
-		{"cycsat-rebuild", false},
-		{"cycsat-incremental", true},
-	} {
-		var t Timing
-		for rep := 0; rep < reps; rep++ {
-			reg := metrics.New()
-			mctx := metrics.NewContext(ctx, reg)
-			oracle := satattack.OracleFromCircuit(locked, key)
-			var res *satattack.Result
-			secs, mallocs, allocBytes, err := timed(func() error {
-				var aerr error
-				res, aerr = satattack.Attack(mctx, locked, oracle, satattack.Options{
-					Incremental: mode.incremental,
-					CycleBreak:  true,
-				})
-				return aerr
-			})
-			if err != nil {
-				return w, err
-			}
-			if verr := satattack.VerifyKey(ctx, locked, res.Key, oracle); verr != nil {
-				return w, fmt.Errorf("%s: recovered key failed verification: %w", mode.name, verr)
-			}
-			rt := Timing{
-				Jobs: 1, Mode: mode.name, Seconds: secs, Fingerprint: attackFingerprint(res),
-				Mallocs: mallocs, AllocBytes: allocBytes,
-			}
-			if h, found := reg.Snapshot().Histogram("satattack_iteration_seconds"); found && h.Sum > 0 {
-				rt.ItersPerSec = float64(h.Count) / h.Sum
-			}
-			if rep == 0 {
-				t = rt
-				continue
-			}
-			if rt.Fingerprint != t.Fingerprint {
-				return w, fmt.Errorf("%s repetition %d changed fingerprint %s -> %s",
-					mode.name, rep, t.Fingerprint, rt.Fingerprint)
-			}
-			if rt.ItersPerSec > t.ItersPerSec {
-				t = rt
-			}
+	// Best-of-reps: scheduler noise only ever slows a run down, so the
+	// fastest repetition is the stable estimate the -baseline gate needs.
+	// Every repetition must produce the same fingerprint — a repetition that
+	// doesn't is a determinism violation, not noise.
+	var t Timing
+	for rep := 0; rep < reps; rep++ {
+		reg := metrics.New()
+		mctx := metrics.NewContext(ctx, reg)
+		oracle := satattack.OracleFromCircuit(locked, key)
+		var res *satattack.Result
+		secs, mallocs, allocBytes, err := timed(func() error {
+			var aerr error
+			res, aerr = satattack.Attack(mctx, locked, oracle, opts)
+			return aerr
+		})
+		if err != nil {
+			return w, err
 		}
-		w.Runs = append(w.Runs, t)
-		fmt.Printf("%-19s %-18s %8.3fs  %10.1f iters/s  %s\n",
-			w.Name, mode.name, t.Seconds, t.ItersPerSec, t.Fingerprint)
+		if verr := satattack.VerifyKey(ctx, locked, res.Key, oracle); verr != nil {
+			return w, fmt.Errorf("%s: recovered key failed verification: %w", mode, verr)
+		}
+		rt := Timing{
+			Jobs: 1, Mode: mode, Seconds: secs, Fingerprint: attackFingerprint(res),
+			Mallocs: mallocs, AllocBytes: allocBytes,
+		}
+		if h, found := reg.Snapshot().Histogram("satattack_iteration_seconds"); found && h.Sum > 0 {
+			rt.ItersPerSec = float64(h.Count) / h.Sum
+		}
+		if rep == 0 {
+			t = rt
+			continue
+		}
+		if rt.Fingerprint != t.Fingerprint {
+			return w, fmt.Errorf("%s repetition %d changed fingerprint %s -> %s",
+				mode, rep, t.Fingerprint, rt.Fingerprint)
+		}
+		if rt.ItersPerSec > t.ItersPerSec {
+			t = rt
+		}
 	}
-	w.Deterministic = w.Runs[0].Fingerprint == w.Runs[1].Fingerprint
-	if w.Runs[1].Seconds > 0 {
-		w.Speedup = w.Runs[0].Seconds / w.Runs[1].Seconds
-	}
+	w.Runs = append(w.Runs, t)
+	w.Deterministic = true
+	fmt.Printf("%-19s %-14s %8.3fs  %10.1f iters/s  %s\n",
+		w.Name, mode, t.Seconds, t.ItersPerSec, t.Fingerprint)
 	return w, nil
 }
 
 // satPropRate measures raw unit-propagation throughput on fixed-seed random
-// 3-SAT instances under a fixed conflict budget, once per engine. This is the
-// workload the arena clause layout targets: budgeted search on instances big
-// enough that the propagate loop — not encoding or oracle calls — dominates.
-// Only the Solve calls are timed.
-//
-// The arena engine runs twice and those two runs carry the determinism check
-// (same engine, same instances, bit-identical verdicts and counters). The
-// legacy run is the honest before/after for ArenaSpeedup; its counters
-// legitimately differ because the engines explore different search trees.
+// 3-SAT instances under a fixed conflict budget: budgeted search on instances
+// big enough that the propagate loop — not encoding or oracle calls —
+// dominates. Only the Solve calls are timed. The default engine runs twice
+// and the two runs carry the determinism check (same engine, same instances,
+// bit-identical verdicts and counters).
 func satPropRate(reps int) (Workload, error) {
 	w := Workload{Name: "sat-prop-rate"}
 	const (
@@ -566,15 +508,11 @@ func satPropRate(reps int) (Workload, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	for _, mode := range []struct{ name, engine string }{
-		{"arena", "cdcl"},
-		{"arena-rerun", "cdcl"},
-		{"legacy", "cdcl-slices"},
-	} {
-		f, err := sat.BackendFactory(mode.engine)
-		if err != nil {
-			return w, err
-		}
+	f, err := sat.BackendFactory(sat.DefaultBackend)
+	if err != nil {
+		return w, err
+	}
+	for _, mode := range []string{"arena", "arena-rerun"} {
 		var t Timing
 		for rep := 0; rep < reps; rep++ {
 			var (
@@ -611,7 +549,7 @@ func satPropRate(reps int) (Workload, error) {
 				props += st.Propagations
 				fp = append(fp, fmt.Sprintf("%d:%s:%d:%d;", seed, verdict, st.Propagations, st.Conflicts)...)
 			}
-			rt := Timing{Jobs: 1, Mode: mode.name, Seconds: secs, Fingerprint: fingerprint(fp)}
+			rt := Timing{Jobs: 1, Mode: mode, Seconds: secs, Fingerprint: fingerprint(fp)}
 			if secs > 0 {
 				rt.PropsPerSec = float64(props) / secs
 			}
@@ -621,30 +559,22 @@ func satPropRate(reps int) (Workload, error) {
 			}
 			if rt.Fingerprint != t.Fingerprint {
 				return w, fmt.Errorf("%s repetition %d changed fingerprint %s -> %s",
-					mode.name, rep, t.Fingerprint, rt.Fingerprint)
+					mode, rep, t.Fingerprint, rt.Fingerprint)
 			}
 			if rt.PropsPerSec > t.PropsPerSec {
 				t = rt
 			}
 		}
 		w.Runs = append(w.Runs, t)
-		fmt.Printf("%-16s %-14s %8.3fs  %10.0f props/s  %s\n",
-			w.Name, mode.name, t.Seconds, t.PropsPerSec, t.Fingerprint)
+		fmt.Printf("%-19s %-14s %8.3fs  %10.0f props/s  %s\n",
+			w.Name, mode, t.Seconds, t.PropsPerSec, t.Fingerprint)
 	}
 	w.Deterministic = w.Runs[0].Fingerprint == w.Runs[1].Fingerprint
-	best := w.Runs[0].PropsPerSec
-	if w.Runs[1].PropsPerSec > best {
-		best = w.Runs[1].PropsPerSec
-	}
-	if w.Runs[2].PropsPerSec > 0 {
-		w.ArenaSpeedup = best / w.Runs[2].PropsPerSec
-		w.Speedup = w.ArenaSpeedup
-	}
 	return w, nil
 }
 
-// attackFingerprint digests what both attack modes must agree on bit-for-bit:
-// the recovered key and the DIP iteration count.
+// attackFingerprint digests what every repetition of an attack row must
+// reproduce bit-for-bit: the recovered key and the DIP iteration count.
 func attackFingerprint(res *satattack.Result) string {
 	b := make([]byte, 0, len(res.Key)+16)
 	for _, bit := range res.Key {

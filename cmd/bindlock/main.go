@@ -7,7 +7,7 @@
 //	bindlock -bench fir [-class adder|multiplier] [-locked-fus 2] [-inputs 2]
 //	         [-fus 3] [-samples 600] [-seed 1] [-candidates 10] [-dot]
 //	         [-attack] [-attack-iters N] [-attack-scheme sfll|cyclic]
-//	         [-cycles 2] [-decoys 2] [-solver cdcl|dpll] [-incremental]
+//	         [-cycles 2] [-decoys 2] [-solver cdcl|dpll]
 //	         [-timeout 30s] [-j N] [-v] [-fault-plan SPEC] [-metrics out.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	bindlock -src kernel.bl [-workload image|audio|bitstream|sensor|uniform] ...
@@ -24,9 +24,8 @@
 // -attack elaborates the co-designed datapath to a flat gate-level netlist
 // and runs the oracle-guided SAT attack against it, demonstrating the Eqn. 1
 // resilience the tool predicts. -attack-iters bounds the DIP loop (full
-// attacks are exponential by design), -solver picks the SAT engine, and
-// -incremental keeps one warm miter solver across DIP iterations; every mode
-// and engine recovers a verified key, and the two modes are bit-identical.
+// attacks are exponential by design) and -solver picks the SAT engine; every
+// engine recovers a verified key.
 //
 // -attack-scheme cyclic swaps the datapath's SFLL locks for SRCLock-style
 // cyclic obfuscation: the datapath is elaborated unlocked, -cycles feedback
@@ -65,7 +64,6 @@ func main() {
 	cycles := flag.Int("cycles", 2, "key-programmed feedback edges for -attack-scheme cyclic")
 	decoys := flag.Int("decoys", 2, "acyclic decoy MUXes for -attack-scheme cyclic")
 	solver := flag.String("solver", "", fmt.Sprintf("sat solver backend for -attack: %v (default %q)", bindlock.SolverBackends(), bindlock.DefaultSolverBackend))
-	incremental := flag.Bool("incremental", false, "run -attack with one warm miter solver across DIP iterations (bit-identical to the default mode)")
 	optimize := flag.Bool("O", false, "run front-end optimisation passes (fold/CSE/DCE) before scheduling (-src only)")
 	timeout := flag.Duration("timeout", 0, "bound the whole run; 0 means no limit")
 	jobs := flag.Int("j", 0, "worker pool size for simulation and co-design; 0 means GOMAXPROCS (output is identical at any -j)")
@@ -104,7 +102,7 @@ func main() {
 
 	atk := attackFlags{
 		enabled: *attack, iters: *attackIters,
-		solver: *solver, incremental: *incremental,
+		solver: *solver,
 		scheme: *attackScheme, cycles: *cycles, decoys: *decoys, seed: *seed,
 	}
 	err = run(ctx, *bench, *src, *workload, *class, *fus, *lockedFUs, *inputs,
@@ -128,7 +126,6 @@ type attackFlags struct {
 	enabled        bool
 	iters          int
 	solver         string
-	incremental    bool
 	scheme         string
 	cycles, decoys int
 	seed           int64
@@ -267,15 +264,8 @@ func run(ctx context.Context, bench, src, workload, className string, fus, locke
 		if atk.solver != "" {
 			opts = append(opts, bindlock.WithSolverBackend(atk.solver))
 		}
-		if atk.incremental {
-			opts = append(opts, bindlock.WithIncremental())
-		}
 		if atk.iters > 0 {
 			opts = append(opts, bindlock.WithAttackIterations(atk.iters))
-		}
-		mode := "rebuild"
-		if atk.incremental {
-			mode = "incremental"
 		}
 		var out *bindlock.AttackOutcome
 		switch atk.scheme {
@@ -284,16 +274,16 @@ func run(ctx context.Context, bench, src, workload, className string, fus, locke
 			if eerr != nil {
 				return eerr
 			}
-			fmt.Printf("\nSAT attack on the elaborated datapath (%d logic gates, %d key bits, %s mode):\n",
-				ed.Circuit.LogicGates(), len(ed.Circuit.Keys), mode)
+			fmt.Printf("\nSAT attack on the elaborated datapath (%d logic gates, %d key bits):\n",
+				ed.Circuit.LogicGates(), len(ed.Circuit.Keys))
 			out, err = bindlock.AttackDesign(ctx, ed, opts...)
 		case "cyclic":
 			ed, eerr := d.Elaborate(bindings, nil)
 			if eerr != nil {
 				return eerr
 			}
-			fmt.Printf("\nCycSAT attack on the cyclically locked datapath (%d logic gates, %d cycles + %d decoys, %s mode):\n",
-				ed.Circuit.LogicGates(), atk.cycles, atk.decoys, mode)
+			fmt.Printf("\nCycSAT attack on the cyclically locked datapath (%d logic gates, %d cycles + %d decoys):\n",
+				ed.Circuit.LogicGates(), atk.cycles, atk.decoys)
 			out, err = bindlock.AttackDesignCyclic(ctx, ed, atk.cycles, atk.decoys, atk.seed, opts...)
 		default:
 			return fmt.Errorf("unknown attack scheme %q (want sfll or cyclic)", atk.scheme)

@@ -10,7 +10,7 @@
 //	          [-retries 1] [-votes 1] [-quorum 0] [-fault-plan SPEC]
 //	          [-checkpoint FILE] [-checkpoint-every 1] [-resume FILE]
 //	          [-checkpoint-key-file FILE]
-//	          [-solver cdcl|dpll] [-incremental]
+//	          [-solver cdcl|dpll]
 //	          [-metrics out.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	satattack -validate [-secrets 6]
 //
@@ -37,10 +37,7 @@
 // "seed=42,transient=0.1,bitflip=0.01,fail:sat.solve=50".
 //
 // -solver selects the SAT engine by registered backend name ("cdcl", the
-// default, or "dpll", the reference engine). -incremental keeps one warm
-// miter solver across DIP iterations instead of re-encoding key constraints
-// eagerly; both modes walk the same DIP sequence and recover bit-identical
-// keys.
+// default, or "dpll", the reference engine).
 //
 // -scheme cyclic locks with SRCLock-style feedback obfuscation: -cycles
 // key-programmed feedback MUXes (wrong keys close combinational cycles that
@@ -99,7 +96,6 @@ func main() {
 	checkpointKeyFile := flag.String("checkpoint-key-file", "", "node secret for tamper-evident checkpoints (hex, created on first use); writes MAC'd transcripts and rejects tampered ones on -resume")
 	faultPlan := flag.String("fault-plan", "", "inject a deterministic fault schedule, e.g. seed=42,transient=0.1,bitflip=0.01")
 	solver := flag.String("solver", "", fmt.Sprintf("sat solver backend: %v (default %q)", sat.Backends(), sat.DefaultBackend))
-	incremental := flag.Bool("incremental", false, "defer key-constraint encoding: keep one warm miter solver across DIP iterations (bit-identical to the default mode)")
 	metricsFile := flag.String("metrics", "", "write a metrics snapshot to this file on exit (JSON, or Prometheus text for .prom)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -144,7 +140,7 @@ func main() {
 			retries: *retries, votes: *votes, quorum: *quorum,
 			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery,
 			resume: *resume, ckptKey: ckptKey, plan: plan,
-			solver: *solver, incremental: *incremental,
+			solver: *solver,
 			cycles: *cycles, decoys: *decoys, cycsat: *cycsat,
 		}
 		err = attack(ctx, *fu, *width, *scheme, *secret, *hd, *keys, *seed, *verilog, *approx, rb)
@@ -223,7 +219,6 @@ type robustness struct {
 	ckptKey                []byte
 	plan                   fault.Plan
 	solver                 string
-	incremental            bool
 	cycles, decoys         int
 	cycsat                 bool
 }
@@ -326,7 +321,7 @@ func attack(ctx context.Context, fu string, width int, scheme string, secretFlag
 		res, err := satattack.ApproxAttack(ctx, locked, oracle, satattack.ApproxOptions{
 			MaxIterations: approx, Seed: seed,
 			Retry: retry, Votes: rb.votes, Quorum: rb.quorum,
-			Solver: rb.solver, Incremental: rb.incremental,
+			Solver: rb.solver,
 		})
 		if err != nil {
 			if interrupted(err) && res != nil {
@@ -347,8 +342,8 @@ func attack(ctx context.Context, fu string, width int, scheme string, secretFlag
 		CheckpointPath: rb.checkpoint, CheckpointEvery: rb.checkpointEvery,
 		CheckpointKey: rb.ckptKey,
 		Resume:        cp,
-		Solver:        rb.solver, Incremental: rb.incremental,
-		CycleBreak: cycleBreak,
+		Solver:        rb.solver,
+		CycleBreak:    cycleBreak,
 	})
 	if err != nil {
 		if interrupted(err) && res != nil {

@@ -41,14 +41,30 @@ func elaborateUnlockedBenchmark(t *testing.T, name string) *ElaboratedDesign {
 	return ed
 }
 
+// cycsatTranscriptPins are the per-kernel transcriptDigest values of the
+// CycSAT attack on TestCycSATKernelDifferential's cyclic locks. They are
+// re-pinned together with sfllTranscriptPins, never separately.
+var cycsatTranscriptPins = map[string]string{
+	"dct":      "138c1120caff7a3636ba47db62d7debf6aac2e4df2fab65c3fdcfa10ae9ff682",
+	"ecb_enc4": "83789492ff84c6744431b0670d77b23f957571a8bb76dbf710aa90f7488655fa",
+	"fft":      "7158cfd82880dd1d7ea480cfb6283b72a0b0ccb7e76497099547ce7a4b0a5afc",
+	"fir":      "23fbf1042fa77d1e520257011dbd288658fd3b19972409543161cb42a62f6c2c",
+	"jctrans2": "aac9281fe9ef14d7dff8db44506505f1e367de27a821d99126a880035eb7cb7a",
+	"jdmerge1": "7945599b3c182a691a2b027d0f11be2a1f50308e70f784aafbf089bf0067bf5e",
+	"jdmerge3": "8b63285be5a148d22dfc9e442138caa57a7b46861328d57909efa22fa3f9f00f",
+	"jdmerge4": "335aed6c8dd8673002c68ea69c8f93807ba2d9371f6c31ea90ac4e5e477ea6ca",
+	"motion2":  "9e86043bab0081f641b85599ec2eb0eb32ae252ce4f0462f2dd1d9ba51217c98",
+	"motion3":  "1047eb264a164857cd182a2041de9fe0ae4ec055bd4adc5c98961bb7537c2629",
+	"noisest2": "f64fa47e8d42f5a7155e18f313b73e15dfac3bc49a0bd19b919e454b8b948b70",
+}
+
 // TestCycSATKernelDifferential is the acceptance differential for the cyclic
 // subsystem on the paper's evaluation set: every MediaBench-derived kernel is
 // cyclically locked (2 feedback cycles, 2 decoys, seed 1) and attacked with
-// CycSAT constraints in both rebuild and incremental modes. Both modes must
-// recover a key that passes functional verification against the oracle, and
-// must agree bit for bit — same key, same DIP transcript, same iteration
-// count, same Deterministic() metrics — because the cycle-breaking clauses
-// are conjoined ahead of the learned-constraint stream in both.
+// CycSAT constraints. The recovered key must pass functional verification
+// against the oracle, and the run must reproduce its pinned transcript — same
+// key, same DIP transcript, same iteration count, same Deterministic()
+// metrics.
 func TestCycSATKernelDifferential(t *testing.T) {
 	for _, b := range Benchmarks() {
 		b := b
@@ -63,56 +79,22 @@ func TestCycSATKernelDifferential(t *testing.T) {
 				t.Fatal("cyclic lock inserted no feedback edges")
 			}
 
-			run := func(incremental bool) (*satattack.Result, string) {
-				reg := metrics.New()
-				ctx := metrics.NewContext(context.Background(), reg)
-				oracle := satattack.OracleFromCircuit(locked, key)
-				res, err := satattack.Attack(ctx, locked, oracle, satattack.Options{
-					CycleBreak: true, Incremental: incremental,
-				})
-				if err != nil {
-					t.Fatalf("incremental=%v: attack: %v", incremental, err)
-				}
-				det, jerr := json.Marshal(reg.Snapshot().Deterministic())
-				if jerr != nil {
-					t.Fatal(jerr)
-				}
-				return res, string(det)
-			}
-			seq, seqDet := run(false)
-			inc, incDet := run(true)
-
-			// One functional verification covers both modes: the key bits are
-			// pinned identical below, and VerifyKey's exhaustive sweep is the
-			// dominant cost on the big kernels.
+			reg := metrics.New()
+			ctx := metrics.NewContext(context.Background(), reg)
 			oracle := satattack.OracleFromCircuit(locked, key)
-			if err := satattack.VerifyKey(context.Background(), locked, seq.Key, oracle); err != nil {
+			res, err := satattack.Attack(ctx, locked, oracle, satattack.Options{CycleBreak: true})
+			if err != nil {
+				t.Fatalf("attack: %v", err)
+			}
+			det, err := json.Marshal(reg.Snapshot().Deterministic())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := satattack.VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
 				t.Fatalf("recovered key failed verification: %v", err)
 			}
-
-			if inc.Iterations != seq.Iterations {
-				t.Errorf("incremental iterations %d != rebuild %d", inc.Iterations, seq.Iterations)
-			}
-			if len(inc.Key) != len(seq.Key) {
-				t.Fatalf("incremental key length %d != %d", len(inc.Key), len(seq.Key))
-			}
-			for i := range inc.Key {
-				if inc.Key[i] != seq.Key[i] {
-					t.Errorf("key bit %d diverged between modes", i)
-				}
-			}
-			if len(inc.DIPs) != len(seq.DIPs) {
-				t.Fatalf("incremental DIP count %d != %d", len(inc.DIPs), len(seq.DIPs))
-			}
-			for i := range inc.DIPs {
-				for j := range inc.DIPs[i] {
-					if inc.DIPs[i][j] != seq.DIPs[i][j] {
-						t.Fatalf("DIP %d bit %d diverged between modes", i, j)
-					}
-				}
-			}
-			if incDet != seqDet {
-				t.Errorf("Deterministic() snapshots differ:\nincremental: %s\nrebuild:     %s", incDet, seqDet)
+			if got := transcriptDigest(res, string(det)); got != cycsatTranscriptPins[b.Name] {
+				t.Errorf("transcript digest %s, pinned %s", got, cycsatTranscriptPins[b.Name])
 			}
 		})
 	}

@@ -102,10 +102,10 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 
 	// Cyclic circuits reference gates that have not been encoded yet: each
 	// distinct feedback source gets a variable pinned up front, in Feedback
-	// order, so both miter copies and every transcript rebuild allocate the
-	// identical variable stream. When the source gate is finally encoded it
-	// either *is* the pinned variable (fresh-variable kinds) or is tied to it
-	// with equivalence clauses (alias kinds: input/key/const/buf).
+	// order, so every instance of the circuit allocates its variables in the
+	// same order. When the source gate is finally encoded it either *is* the
+	// pinned variable (fresh-variable kinds) or is tied to it with
+	// equivalence clauses (alias kinds: input/key/const/buf).
 	var pinned map[int]int
 	if len(c.Feedback) > 0 {
 		pinned = make(map[int]int, len(c.Feedback))

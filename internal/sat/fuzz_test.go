@@ -46,16 +46,14 @@ func FuzzParseDIMACS(f *testing.F) {
 	})
 }
 
-// FuzzSolveAssuming differentially tests the assumption interface three ways:
-// the arena CDCL engine, the frozen pre-arena slice engine, and the DPLL
-// reference. The fuzzer's byte stream is decoded into a small formula plus an
-// assumption set; all engines must agree on satisfiability, a SAT model must
-// satisfy every clause and every assumption, and an UNSAT-under-assumptions
-// verdict must report a failed subset of the assumptions that — added as unit
-// clauses — makes a fresh solve unsatisfiable, for each CDCL engine's own
-// subset (the engines may legitimately report different subsets). Each solver
-// is also queried again afterwards to prove assumptions never poison the
-// clause DB.
+// FuzzSolveAssuming differentially tests the assumption interface of the
+// CDCL engine against the DPLL reference. The fuzzer's byte stream is decoded
+// into a small formula plus an assumption set; both engines must agree on
+// satisfiability, a SAT model must satisfy every clause and every assumption,
+// and an UNSAT-under-assumptions verdict must make the CDCL engine report a
+// failed subset of the assumptions that — added as unit clauses — makes a
+// fresh solve unsatisfiable. Each solver is also queried again afterwards to
+// prove assumptions never poison the clause DB.
 func FuzzSolveAssuming(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 1, 2, 255, 3, 255, 1})
 	f.Add([]byte{4, 1, 0, 3, 255, 2, 1})
@@ -72,7 +70,6 @@ func FuzzSolveAssuming(f *testing.F) {
 			b    Backend
 		}{
 			{"cdcl", NewSolver()},
-			{"cdcl-slices", newSlicesSolver()},
 			{"dpll", NewDPLL()},
 		}
 		for i := 0; i < n; i++ {
@@ -152,9 +149,7 @@ func FuzzSolveAssuming(f *testing.F) {
 				check(e.name, e.b.Value)
 			}
 		} else if len(assumps) > 0 {
-			// Each CDCL engine reports its own failed subset — the engines
-			// walk different search trees, so the subsets may differ — but
-			// every reported subset must come from the passed assumptions and
+			// The reported subset must come from the passed assumptions and
 			// must independently reproduce unsatisfiability.
 			set := map[Lit]bool{}
 			for _, a := range assumps {

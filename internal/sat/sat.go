@@ -7,9 +7,9 @@
 // The clause database is a single flat arena ([]Lit) addressed by packed
 // ClauseRef offsets, and every watch-list entry carries a blocker literal, so
 // the propagation hot loop usually decides a clause is satisfied from the
-// watcher alone without touching clause memory. The pre-arena slice-of-slices
-// engine survives as the "cdcl-slices" backend (slices.go) for differential
-// testing and honest before/after benchmarking.
+// watcher alone without touching clause memory. The DPLL engine (dpll.go) is
+// the second registered backend, kept as the differential reference for the
+// fuzz and assumption suites.
 //
 // It is the engine behind the oracle-guided SAT attack of Subramanyan et al.
 // [10] implemented in internal/satattack, which the paper uses as the
@@ -671,12 +671,12 @@ func (s *Solver) Solve(ctx context.Context) (bool, error) {
 	return s.SolveAssuming(ctx)
 }
 
-// SolveAssuming is Solve under temporary assumption literals, the MiniSat
-// incremental interface. Assumptions are installed as the first decisions of
-// the search (one decision level each), never as clauses: everything the
-// call learns is derived by resolution from the clause database alone and
-// therefore stays valid for later calls with different assumptions, while
-// the assumptions themselves are retracted on return. (false, nil) with
+// SolveAssuming is Solve under temporary assumption literals, as in MiniSat.
+// Assumptions are installed as the first decisions of the search (one
+// decision level each), never as clauses: everything the call learns is
+// derived by resolution from the clause database alone and therefore stays
+// valid for later calls with different assumptions, while the assumptions
+// themselves are retracted on return. (false, nil) with
 // assumptions means the clause set is unsatisfiable together with them;
 // FailedAssumptions then reports a responsible subset, the clause database
 // is unpoisoned, and the solver remains usable. Only a conflict at decision

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"bindlock/internal/cnf"
 	"bindlock/internal/interrupt"
 	"bindlock/internal/metrics"
 	"bindlock/internal/netlist"
@@ -16,8 +15,8 @@ import (
 )
 
 // This file implements an AppSAT-style approximate attack: run the exact
-// SAT attack's DIP loop with an early-termination budget, extract the best
-// candidate key, and estimate its error rate by random oracle queries.
+// SAT attack with an early-termination DIP budget, take its best candidate
+// key, and estimate that key's error rate by random oracle queries.
 //
 // Against high-corruption locking the approximate attack recovers an exact
 // or near-exact key almost immediately. Against critical-minterm locking it
@@ -45,9 +44,6 @@ type ApproxOptions struct {
 	// Backend, when non-nil, supplies the solver factory directly and takes
 	// precedence over Solver.
 	Backend sat.Factory
-	// Incremental defers the constraint-only key solver to extraction time,
-	// rebuilding it from the query transcript; see Options.Incremental.
-	Incremental bool
 	// Retry tunes per-query oracle retry (zero value: single attempt).
 	Retry RetryPolicy
 	// Votes is the number of oracle queries per DIP and per error sample,
@@ -77,18 +73,13 @@ type ApproxResult struct {
 const approxOp = "satattack: approx attack"
 
 // ApproxAttack runs the early-terminating SAT attack against the locked
-// circuit. Cancellation is honoured per DIP and per error-estimation sample;
-// an interrupted run returns the partial ApproxResult alongside the typed
-// interruption error.
+// circuit: Attack with MaxIterations set to the DIP budget, then the error
+// estimation. Cancellation is honoured per DIP and per error-estimation
+// sample; an interrupted run returns the partial ApproxResult alongside the
+// typed interruption error.
 func ApproxAttack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts ApproxOptions) (*ApproxResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := locked.Validate(); err != nil {
-		return nil, err
-	}
-	if len(locked.Keys) == 0 {
-		return nil, fmt.Errorf("satattack: circuit %q has no key inputs", locked.Name)
 	}
 	budget := opts.MaxIterations
 	if budget == 0 {
@@ -101,155 +92,48 @@ func ApproxAttack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, o
 	hook := progress.FromContext(ctx)
 	progress.Start(hook, "approx-attack", locked.Name)
 	start := time.Now()
-	q := newQuerier(oracle, opts.Retry, opts.Votes, opts.Quorum, metrics.FromContext(ctx))
-
-	factory, _, err := resolveBackend(opts.Solver, opts.Backend, opts.MaxConflicts)
-	if err != nil {
-		return nil, err
-	}
-	me := cnf.NewEncoderBackend(factory())
-	inst1, err := me.Encode(locked, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	inst2, err := me.Encode(locked, inst1.Inputs, nil)
-	if err != nil {
-		return nil, err
-	}
-	diffs := make([]int, len(inst1.Outputs))
-	for i := range diffs {
-		diffs[i] = me.XorVar(inst1.Outputs[i], inst2.Outputs[i])
-	}
-	act := sat.NewLit(me.GuardedAtLeastOne(diffs), false)
-
-	// Key solver, eager in rebuild mode, transcript-reconstructed in
-	// incremental mode — the same discipline as the exact attack.
-	newKeyEncoder := func() (*cnf.Encoder, []int) {
-		ke := cnf.NewEncoderBackend(factory())
-		return ke, ke.FreshVars(len(locked.Keys))
-	}
-	addKeyConstraint := func(ke *cnf.Encoder, keyVars []int, dip, outs []bool) error {
-		inBits := ke.ConstVars(dip)
-		ci, err := ke.Encode(locked, inBits, keyVars)
-		if err != nil {
-			return err
-		}
-		for i, ov := range ci.Outputs {
-			ke.FixVar(ov, outs[i])
-		}
-		return nil
-	}
-	var ke *cnf.Encoder
-	var keyVars []int
-	if !opts.Incremental {
-		ke, keyVars = newKeyEncoder()
-	}
-	var dips, answers [][]bool
-	keyEncoder := func() (*cnf.Encoder, []int, error) {
-		if !opts.Incremental {
-			return ke, keyVars, nil
-		}
-		kke, kv := newKeyEncoder()
-		for i, outs := range answers {
-			if err := addKeyConstraint(kke, kv, dips[i], outs); err != nil {
-				return nil, nil, err
-			}
-		}
-		return kke, kv, nil
-	}
-
+	ares, err := Attack(ctx, locked, oracle, Options{
+		MaxIterations: budget, MaxConflicts: opts.MaxConflicts,
+		Solver: opts.Solver, Backend: opts.Backend,
+		Retry: opts.Retry, Votes: opts.Votes, Quorum: opts.Quorum,
+	})
 	res := &ApproxResult{}
-	interrupted := func(cause error) (*ApproxResult, error) {
+	if ares != nil {
+		res.Key, res.Iterations = ares.Key, ares.Iterations
+	}
+	switch {
+	case err == nil:
+		// The miter went UNSAT within the budget: the key is provably correct.
+		res.Exact = true
+	case errors.Is(err, ErrIterationBudget) && res.Key != nil:
+		// Budget spent: the key is the approximate candidate.
+	case ares != nil && (errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded)):
 		res.Duration = time.Since(start)
-		kke, kv, kerr := keyEncoder()
-		if kerr == nil {
-			if found, err := kke.S.Solve(context.WithoutCancel(ctx)); err == nil && found {
-				res.Key = make([]bool, len(kv))
-				for i, v := range kv {
-					res.Key[i] = kke.S.Value(v)
-				}
-			}
-		}
 		progress.End(hook, "approx-attack", fmt.Sprintf("interrupted after %d DIPs", res.Iterations))
-		return res, interrupt.Rewrap(approxOp, cause, res)
-	}
-	for res.Iterations < budget {
-		if cerr := interrupt.Check(ctx, approxOp, nil); cerr != nil {
-			return interrupted(cerr)
-		}
-		found, err := me.S.SolveAssuming(ctx, act)
-		if err != nil {
-			if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-				return interrupted(err)
-			}
-			return nil, fmt.Errorf("satattack: approx miter solve: %w", err)
-		}
-		if !found {
-			res.Exact = true
-			break
-		}
-		res.Iterations++
-		progress.Tick(hook, "approx-attack", res.Iterations, budget)
-		dip := make([]bool, len(inst1.Inputs))
-		for i, v := range inst1.Inputs {
-			dip[i] = me.S.Value(v)
-		}
-		outs, err := q.query(ctx, dip)
-		if err != nil {
-			if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-				return interrupted(err)
-			}
-			return nil, fmt.Errorf("satattack: approx oracle query (iteration %d): %w", res.Iterations, err)
-		}
-		dips = append(dips, dip)
-		answers = append(answers, outs)
-		inBits := me.ConstVars(dip)
-		for _, kv := range [][]int{inst1.Keys, inst2.Keys} {
-			ci, err := me.Encode(locked, inBits, kv)
-			if err != nil {
-				return nil, err
-			}
-			for i, ov := range ci.Outputs {
-				me.FixVar(ov, outs[i])
-			}
-		}
-		if !opts.Incremental {
-			if err := addKeyConstraint(ke, keyVars, dip, outs); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	ke, keyVars, err = keyEncoder()
-	if err != nil {
+		return res, interrupt.Rewrap(approxOp, err, res)
+	default:
 		return nil, err
-	}
-	found, err := ke.S.Solve(ctx)
-	if err != nil {
-		if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-			return interrupted(err)
-		}
-		return nil, fmt.Errorf("satattack: approx key extraction: %w", err)
-	}
-	if !found {
-		return nil, fmt.Errorf("satattack: constraints unsatisfiable; oracle inconsistent with netlist")
-	}
-	res.Key = make([]bool, len(keyVars))
-	for i, v := range keyVars {
-		res.Key[i] = ke.S.Value(v)
 	}
 
 	// Estimate the candidate key's error rate by random queries.
+	q := newQuerier(oracle, opts.Retry, opts.Votes, opts.Quorum, metrics.FromContext(ctx))
 	rng := rand.New(rand.NewSource(opts.Seed))
 	n := len(locked.Inputs)
 	wrong := 0
+	// estimationInterrupted reports the error rate over the s samples
+	// compared before the interruption.
+	estimationInterrupted := func(s int, cause error) (*ApproxResult, error) {
+		if s > 0 {
+			res.EstErrorRate = float64(wrong) / float64(s)
+		}
+		res.Duration = time.Since(start)
+		progress.End(hook, "approx-attack", "interrupted during error estimation")
+		return res, interrupt.Rewrap(approxOp, cause, res)
+	}
 	for s := 0; s < samples; s++ {
 		if s%256 == 0 {
 			if cerr := interrupt.Check(ctx, approxOp, nil); cerr != nil {
-				res.EstErrorRate = float64(wrong) / float64(s+1)
-				res.Duration = time.Since(start)
-				progress.End(hook, "approx-attack", "interrupted during error estimation")
-				return res, interrupt.Rewrap(approxOp, cerr, res)
+				return estimationInterrupted(s, cerr)
 			}
 		}
 		in := make([]bool, n)
@@ -263,10 +147,7 @@ func ApproxAttack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, o
 		want, err := q.query(ctx, in)
 		if err != nil {
 			if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-				res.EstErrorRate = float64(wrong) / float64(s+1)
-				res.Duration = time.Since(start)
-				progress.End(hook, "approx-attack", "interrupted during error estimation")
-				return res, interrupt.Rewrap(approxOp, err, res)
+				return estimationInterrupted(s, err)
 			}
 			return nil, fmt.Errorf("satattack: approx error estimation: %w", err)
 		}

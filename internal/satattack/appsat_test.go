@@ -2,8 +2,10 @@ package satattack
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"bindlock/internal/interrupt"
 	"bindlock/internal/netlist"
 )
 
@@ -28,6 +30,60 @@ func TestApproxAttackExactOnXOR(t *testing.T) {
 	}
 	if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApproxEstimateInterruptedRate pins the error-rate denominator of an
+// interrupted estimation: the rate covers exactly the samples compared. The
+// DIP budget is the exact attack's DIP count, so the candidate key is
+// correct; the oracle then complements every estimation answer, making each
+// sample wrong, and cancels the context on the 512th, so the run stops at
+// the 512-sample check with 512 of 512 samples wrong.
+func TestApproxEstimateInterruptedRate(t *testing.T) {
+	base, _ := netlist.NewAdder(4)
+	locked, key, err := netlist.LockXOR(base, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := OracleFromCircuit(locked, key)
+	exact, err := Attack(context.Background(), locked, truth, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := exact.Iterations
+	const sampled = 512
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	oracle := OracleFunc(func(in []bool) ([]bool, error) {
+		calls++
+		out, err := truth.Query(in)
+		if err != nil || calls <= budget {
+			return out, err
+		}
+		for i := range out {
+			out[i] = !out[i]
+		}
+		if calls == budget+sampled {
+			cancel()
+		}
+		return out, nil
+	})
+	res, err := ApproxAttack(ctx, locked, oracle, ApproxOptions{MaxIterations: budget, Seed: 1})
+	if !errors.Is(err, interrupt.ErrCancelled) {
+		t.Fatalf("err = %v, want cancellation", err)
+	}
+	if res == nil {
+		t.Fatal("interrupted estimation returned no partial result")
+	}
+	if res.Iterations != budget || res.Exact {
+		t.Fatalf("iterations %d exact %v, want the full budget of %d, approximate", res.Iterations, res.Exact, budget)
+	}
+	if calls != budget+sampled {
+		t.Fatalf("oracle answered %d queries, want %d", calls, budget+sampled)
+	}
+	if res.EstErrorRate != 1 {
+		t.Fatalf("EstErrorRate = %v, want exactly 1 (%d of %d samples wrong)", res.EstErrorRate, sampled, sampled)
 	}
 }
 

@@ -66,9 +66,7 @@ type Checkpoint struct {
 	// Solver names the sat backend that produced the transcript ("" means
 	// the default backend, for transcripts written before the field existed).
 	// Different engines walk different DIP sequences, so resuming under
-	// another backend is rejected. The incremental flag is deliberately NOT
-	// recorded: both attack modes drive the identical miter clause/solve
-	// stream, so a transcript is mode-independent by construction.
+	// another backend is rejected.
 	Solver string `json:"solver,omitempty"`
 	// CycleBreak records whether the transcript was produced with CycSAT
 	// cycle-breaking constraints conjoined (Options.CycleBreak). The

@@ -58,23 +58,19 @@ func TestUnconstrainedAttackDivergesOnLatch(t *testing.T) {
 func TestCycSATRecoversLatchKey(t *testing.T) {
 	locked, key := latchCircuit(t)
 	oracle := OracleFromCircuit(locked, key)
-	for _, incremental := range []bool{false, true} {
-		res, err := Attack(context.Background(), locked, oracle,
-			Options{CycleBreak: true, Incremental: incremental})
-		if err != nil {
-			t.Fatalf("incremental=%v: %v", incremental, err)
-		}
-		if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
-			t.Fatalf("incremental=%v: recovered key wrong: %v", incremental, err)
-		}
+	res, err := Attack(context.Background(), locked, oracle, Options{CycleBreak: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
+		t.Fatalf("recovered key wrong: %v", err)
 	}
 }
 
-// TestCycSATModesAgreeOnCyclicAdder runs the CycSAT-constrained attack on a
-// cyclically locked adder (feedback cycles plus functional decoys, so the
-// DIP loop does real work) in rebuild and incremental mode and requires
-// bit-identical keys, DIP transcripts and iteration counts.
-func TestCycSATModesAgreeOnCyclicAdder(t *testing.T) {
+// TestCycSATRecoversCyclicAdderKeys runs the CycSAT-constrained attack on
+// cyclically locked adders (feedback cycles plus functional decoys, so the
+// DIP loop does real work) and requires every recovered key to verify.
+func TestCycSATRecoversCyclicAdderKeys(t *testing.T) {
 	base, err := netlist.NewAdder(3)
 	if err != nil {
 		t.Fatal(err)
@@ -85,29 +81,12 @@ func TestCycSATModesAgreeOnCyclicAdder(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracle := OracleFromCircuit(locked, key)
-		var ref *Result
-		for _, incremental := range []bool{false, true} {
-			res, err := Attack(context.Background(), locked, oracle,
-				Options{CycleBreak: true, Incremental: incremental})
-			if err != nil {
-				t.Fatalf("seed %d incremental=%v: %v", seed, incremental, err)
-			}
-			if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
-				t.Fatalf("seed %d incremental=%v: %v", seed, incremental, err)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if !equalBits(res.Key, ref.Key) || res.Iterations != ref.Iterations {
-				t.Fatalf("seed %d: modes disagree: key %v/%v iterations %d/%d",
-					seed, res.Key, ref.Key, res.Iterations, ref.Iterations)
-			}
-			for i := range ref.DIPs {
-				if !equalBits(res.DIPs[i], ref.DIPs[i]) {
-					t.Fatalf("seed %d: DIP %d differs between modes", seed, i)
-				}
-			}
+		res, err := Attack(context.Background(), locked, oracle, Options{CycleBreak: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -73,9 +73,8 @@ type Options struct {
 	// MaxIterations bounds the DIP loop (default 1 << 20).
 	MaxIterations int
 	// MaxConflicts bounds each SAT call (default sat.DefaultMaxConflicts).
-	// It is routed through the backend factory, so every solver the attack
-	// creates — miter, key extractor, transcript rebuilds — is bounded
-	// consistently.
+	// It is routed through the backend factory, so both solvers the attack
+	// creates — the miter and the key extractor — are bounded consistently.
 	MaxConflicts int64
 	// Solver names the registered sat backend to solve with ("" means
 	// sat.DefaultBackend). The name is recorded in checkpoints so a
@@ -95,14 +94,6 @@ type Options struct {
 	// checkpoints: constraints change the DIP sequence, so a transcript is
 	// never replayed across modes.
 	CycleBreak bool
-	// Incremental keeps only the one warm miter solver busy during the DIP
-	// loop and defers the constraint-only key solver entirely: instead of
-	// eagerly mirroring every I/O constraint into a second encoder per
-	// iteration, the key solver is rebuilt from the oracle transcript at
-	// extraction time with the identical clause stream. Keys and
-	// deterministic metrics are bit-identical to rebuild mode by
-	// construction; the per-iteration encoding work is roughly halved.
-	Incremental bool
 	// Retry tunes per-query oracle retry (zero value: single attempt, the
 	// pre-retry behaviour).
 	Retry RetryPolicy
@@ -164,8 +155,8 @@ func normalizeSolver(name string) string {
 // resolveBackend turns a backend name (or an explicit factory, which wins)
 // into the factory the attack builds every solver from, plus the backend
 // name to label transcripts with. The factory applies maxConflicts to every
-// solver it creates, so the miter, the key extractor, and any transcript
-// rebuild share one consistent per-call bound.
+// solver it creates, so the miter and the key extractor share one consistent
+// per-call bound.
 func resolveBackend(name string, f sat.Factory, maxConflicts int64) (sat.Factory, string, error) {
 	if f == nil {
 		var err error
@@ -278,7 +269,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	// and conjoin them over both miter key copies, so no DIP search ever
 	// wanders into a key that closes a combinational loop (whose CNF fixed
 	// points are unrelated to any settled circuit behaviour). The key
-	// solver(s) get the same clauses below, in both modes.
+	// solver gets the same clauses below.
 	var cycleClauses []netlist.CycleClause
 	if opts.CycleBreak {
 		stopCC := mreg.Timer("cycsat_constraint_seconds")
@@ -297,63 +288,15 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 
 	// Key solver: accumulates only the I/O constraints over one key bus; it
 	// stays satisfiable (the correct key satisfies everything) and yields
-	// the final key. Rebuild mode (the default) mirrors every constraint
-	// into it eagerly; incremental mode skips it during the loop and
-	// reconstructs it from the oracle transcript on demand, with the exact
-	// clause stream the eager encoder would have accumulated — key bus
-	// first, then per answered DIP the same ConstVars/Encode/FixVar
-	// sequence — so the search, the model, and the metric deltas cannot
-	// differ between modes.
-	newKeyEncoder := func() (*cnf.Encoder, []int, error) {
-		ke := cnf.NewEncoderBackend(factory())
-		kv := ke.FreshVars(len(locked.Keys))
-		// Cycle constraints lead the key solver's clause stream in both
-		// modes, keeping rebuild and transcript reconstruction bit-identical.
-		if err := ke.CycleClauses(kv, cycleClauses); err != nil {
-			return nil, nil, err
-		}
-		return ke, kv, nil
-	}
-	addKeyConstraint := func(ke *cnf.Encoder, keyVars []int, dip, outs []bool) error {
-		inBits := ke.ConstVars(dip)
-		ci, err := ke.Encode(locked, inBits, keyVars)
-		if err != nil {
-			return err
-		}
-		for i, ov := range ci.Outputs {
-			ke.FixVar(ov, outs[i])
-		}
-		return nil
-	}
-	var ke *cnf.Encoder
-	var keyVars []int
-	if !opts.Incremental {
-		if ke, keyVars, err = newKeyEncoder(); err != nil {
-			return nil, err
-		}
+	// the final key. Cycle constraints lead its clause stream.
+	ke := cnf.NewEncoderBackend(factory())
+	keyVars := ke.FreshVars(len(locked.Keys))
+	if err := ke.CycleClauses(keyVars, cycleClauses); err != nil {
+		return nil, err
 	}
 
 	res := &Result{}
 	var answers [][]bool // oracle transcript, parallel to the answered DIPs
-	// keyEncoder returns the key solver ready to extract from: the eager one
-	// in rebuild mode, a transcript reconstruction in incremental mode. Only
-	// answered DIPs are replayed — on an oracle failure the eager encoder is
-	// missing the last DIP's constraints too, so the two stay aligned.
-	keyEncoder := func() (*cnf.Encoder, []int, error) {
-		if !opts.Incremental {
-			return ke, keyVars, nil
-		}
-		kke, kv, err := newKeyEncoder()
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, outs := range answers {
-			if err := addKeyConstraint(kke, kv, res.DIPs[i], outs); err != nil {
-				return nil, nil, err
-			}
-		}
-		return kke, kv, nil
-	}
 	// End-of-attack telemetry on every return path, completed or interrupted:
 	// the miter encoder's final CNF size and the DIP count are deterministic
 	// for a given circuit, so they land in the registry's deterministic
@@ -380,9 +323,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	interrupted := func(cause error) (*Result, error) {
 		stopIter()
 		res.Duration = time.Since(start)
-		if kke, kv, kerr := keyEncoder(); kerr == nil {
-			extractKey(ctx, kke, kv, res)
-		}
+		extractKey(ctx, ke, keyVars, res)
 		progress.End(hook, "attack", fmt.Sprintf("interrupted after %d DIPs", res.Iterations))
 		return res, interrupt.Rewrap(attackOp, cause, res)
 	}
@@ -461,9 +402,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 				// a caller holding a checkpoint loses nothing.
 				stopIter()
 				res.Duration = time.Since(start)
-				if kke, kv, kerr := keyEncoder(); kerr == nil {
-					extractKey(ctx, kke, kv, res)
-				}
+				extractKey(ctx, ke, keyVars, res)
 				progress.End(hook, "attack", fmt.Sprintf("oracle failed after %d DIPs", res.Iterations))
 				return res, fmt.Errorf("satattack: oracle query (iteration %d): %w", res.Iterations, err)
 			}
@@ -471,8 +410,8 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		mreg.Add("satattack_oracle_queries_total", 1)
 		answers = append(answers, outs)
 
-		// Constrain both miter key copies — and, in rebuild mode, the eager
-		// key solver — with the observed I/O behaviour.
+		// Constrain both miter key copies and the key solver with the
+		// observed I/O behaviour.
 		inBits := me.ConstVars(dip)
 		for _, kv := range [][]int{inst1.Keys, inst2.Keys} {
 			ci, err := me.Encode(locked, inBits, kv)
@@ -484,11 +423,13 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 				me.FixVar(ov, outs[i])
 			}
 		}
-		if !opts.Incremental {
-			if err := addKeyConstraint(ke, keyVars, dip, outs); err != nil {
-				stopIter()
-				return nil, err
-			}
+		ci, err := ke.Encode(locked, ke.ConstVars(dip), keyVars)
+		if err != nil {
+			stopIter()
+			return nil, err
+		}
+		for i, ov := range ci.Outputs {
+			ke.FixVar(ov, outs[i])
 		}
 		stopIter()
 
@@ -515,17 +456,11 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	if res.Iterations >= maxIter {
 		cause := fmt.Errorf("%w (%d iterations)", ErrIterationBudget, maxIter)
 		res.Duration = time.Since(start)
-		if kke, kv, kerr := keyEncoder(); kerr == nil {
-			extractKey(ctx, kke, kv, res)
-		}
+		extractKey(ctx, ke, keyVars, res)
 		progress.End(hook, "attack", fmt.Sprintf("budget after %d DIPs", res.Iterations))
 		return res, interrupt.Budget(attackOp, cause, res)
 	}
 
-	ke, keyVars, err = keyEncoder()
-	if err != nil {
-		return nil, err
-	}
 	found, err := ke.S.Solve(ctx)
 	if err != nil {
 		if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {

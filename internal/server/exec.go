@@ -291,7 +291,6 @@ func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 		CheckpointEvery: m.cfg.CheckpointEvery,
 		CheckpointKey:   m.cfg.CheckpointKey,
 		Solver:          r.Solver,
-		Incremental:     r.Incremental,
 		CycleBreak:      r.Scheme == SchemeCyclic,
 	}
 	// coldRestart marks a checkpoint that existed but was rejected

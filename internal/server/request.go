@@ -86,11 +86,6 @@ type Request struct {
 	// different engines walk different DIP sequences, so their results are
 	// never served interchangeably.
 	Solver string `json:"solver,omitempty"`
-	// Incremental selects the transcript-deferred key-solver mode
-	// ("attack" only). It is validated but deliberately excluded from the
-	// fingerprint: both modes produce bit-identical results by
-	// construction, so their cache entries must coincide.
-	Incremental bool `json:"incremental,omitempty"`
 	// Scheme selects the attacked locking scheme: "sfll" (default; SFLL-HD(0)
 	// on the secret minterm) or "cyclic" (SRCLock-style feedback obfuscation,
 	// attacked with CycSAT cycle-breaking constraints). "attack" only.
@@ -246,8 +241,8 @@ func resolve(req Request) (*resolved, error) {
 		}
 		return r, nil
 	}
-	if r.Solver != "" || r.Incremental || r.RandomSecret {
-		return nil, fmt.Errorf("solver, incremental and random_secret apply to attack jobs only")
+	if r.Solver != "" || r.RandomSecret {
+		return nil, fmt.Errorf("solver and random_secret apply to attack jobs only")
 	}
 	if r.Scheme != "" || r.CycleEdges != 0 || r.CycleDecoys != 0 {
 		return nil, fmt.Errorf("scheme, cycle_edges and cycle_decoys apply to attack jobs only")
@@ -361,11 +356,9 @@ func (r *resolved) prepareFingerprint() *store.Fingerprint {
 // split nor collide cache entries.
 func (r *resolved) fingerprint() *store.Fingerprint {
 	if r.Kind == KindAttack {
-		// Incremental is deliberately absent: both attack modes are
-		// bit-identical, so caching them separately would only halve the
-		// hit rate. The scheme always enters; only the fields that scheme
-		// actually reads follow it, so an sfll job can never collide with a
-		// cyclic one and irrelevant knobs can never split entries.
+		// The scheme always enters; only the fields that scheme actually
+		// reads follow it, so an sfll job can never collide with a cyclic
+		// one and irrelevant knobs can never split entries.
 		fp := store.NewFingerprint(KindAttack).
 			Int("operand_bits", int64(r.OperandBits)).
 			Str("solver", r.Solver).

@@ -119,52 +119,6 @@ func TestPrepareDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers exercises the positional compatibility shims and
-// checks they agree with the options API.
-func TestDeprecatedWrappers(t *testing.T) {
-	dOld, err := PrepareArgs(quickKernel, 2, 120, WorkloadAudio, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dNew, err := Prepare(context.Background(), quickKernel,
-		WithMaxFUs(2), WithSamples(120), WithWorkload(WorkloadAudio), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(traceBytes(dOld.Trace), traceBytes(dNew.Trace)) {
-		t.Fatal("PrepareArgs trace differs from options-API trace")
-	}
-
-	g, err := Compile(quickKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PrepareGraphArgs(g, 2, 60, WorkloadUniform, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	bOld, err := PrepareBenchmarkArgs("fir", 3, 80, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bNew, err := PrepareBenchmark(context.Background(), "fir",
-		WithMaxFUs(3), WithSamples(80), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(traceBytes(bOld.Trace), traceBytes(bNew.Trace)) {
-		t.Fatal("PrepareBenchmarkArgs trace differs from options-API trace")
-	}
-
-	out, err := LockAndAttackArgs(2, 0b1011)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Iterations < 1 || out.KeyBits != 4 {
-		t.Fatalf("outcome = %+v", out)
-	}
-}
-
 // TestPrepareProgressOption checks that WithProgress receives the simulate
 // phase telemetry.
 func TestPrepareProgressOption(t *testing.T) {

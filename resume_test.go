@@ -2,9 +2,13 @@ package bindlock
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bindlock/internal/metrics"
@@ -87,6 +91,50 @@ func budgetedAttack(t *testing.T, ed *ElaboratedDesign, opts satattack.Options) 
 	return res, string(det)
 }
 
+// transcriptDigest hashes everything an attack run must reproduce — the
+// iteration count, the key bits, the DIP transcript and the Deterministic()
+// metrics JSON — into one hex sha256, so a pinned digest catches any change
+// to the search, the encoding or the solver's deterministic counters.
+func transcriptDigest(res *satattack.Result, det string) string {
+	bits := func(v []bool) string {
+		var b strings.Builder
+		for _, x := range v {
+			if x {
+				b.WriteByte('1')
+			} else {
+				b.WriteByte('0')
+			}
+		}
+		return b.String()
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "iterations %d\nkey %s\n", res.Iterations, bits(res.Key))
+	for _, d := range res.DIPs {
+		fmt.Fprintf(h, "dip %s\n", bits(d))
+	}
+	fmt.Fprintf(h, "metrics %s\n", det)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sfllTranscriptPins are the per-kernel transcriptDigest values of the
+// budgeted SFLL attack (resumeMaxIters DIPs, default solver) on
+// elaborateLockedBenchmark's designs. A deliberate change to the attack's
+// encoding or search re-pins them once, with a store.CodeVersion and
+// satattack.CheckpointVersion bump.
+var sfllTranscriptPins = map[string]string{
+	"dct":      "acbab064536d8b896368cae84b8ac12d8a978e69af8b123f9a00d15aa00923db",
+	"ecb_enc4": "c7d846ee995b6309352846d2e675b0e7895a5a97ef810c257ae3c6859359247c",
+	"fft":      "dae96a1850cb40f1d0d16929402e753662080795097a88f8d2b85aeef38a1fee",
+	"fir":      "9508571564b138e8392ad7b17c3e14d117cc6c3346af8594538a78870e185f71",
+	"jctrans2": "cdbd2dce8c89a57eeae737046fd9e02d4a08ac7ae5738687fae7f5ff4b5d4443",
+	"jdmerge1": "714cfd5dc56f065a09f9f4fd598c11a86ed1ca7787a3721b11139607b3bc6ef4",
+	"jdmerge3": "db355bc25852226373bdbc9ca06d796f43eaebec1ca82d2e9bbc0fec035b0ce0",
+	"jdmerge4": "065a5e34c8e60abe8c845b1263590926f3505cff5dc0465b198c0de5b0cd87e7",
+	"motion2":  "a181057e4dc1d123c22ad9f841a563911f205c9f5f842bec1514b02d348f9694",
+	"motion3":  "0ea16115f726e7a3e3497bc88ef7c232361a5eb99d7f6d1296cb38ca479d97c4",
+	"noisest2": "52fe1b2425fa16e68d02cee7306c649959ee1e70f9001896d58847c4098b9474",
+}
+
 // TestResumeDeterminismMediabench is the acceptance check for checkpoint /
 // resume on the paper's evaluation set: for each of the 11 MediaBench-derived
 // kernels, an attack on the elaborated locked design is killed via
@@ -102,6 +150,9 @@ func TestResumeDeterminismMediabench(t *testing.T) {
 
 			// Reference: uninterrupted (budget-bounded) run.
 			full, fullDet := budgetedAttack(t, ed, satattack.Options{})
+			if got := transcriptDigest(full, fullDet); got != sfllTranscriptPins[b.Name] {
+				t.Errorf("transcript digest %s, pinned %s", got, sfllTranscriptPins[b.Name])
+			}
 			if full.Iterations <= resumeKillAt {
 				// A kernel whose attack converges before the kill point has
 				// nothing left to interrupt; the contract is vacuous there.
