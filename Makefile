@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzCycleConstraints -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzEvalLanes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codesign -run '^$$' -fuzz FuzzSearchesMatchReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/satattack -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
 
 # chaos runs the full tier-1 suite under a randomized-seed fault plan
 # (picked up by the chaos-aware tests via BINDLOCK_CHAOS_SEED). The suite

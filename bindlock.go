@@ -217,9 +217,9 @@ func WithFaultPlanContext(ctx context.Context, p FaultPlan) context.Context {
 
 // LoadAttackCheckpoint reads and validates a checkpoint written by a
 // checkpointing attack (WithCheckpoint, or cmd/satattack -checkpoint). The
-// file's integrity digest must verify; passing a node key additionally
-// requires a valid MAC under it, so a tampered transcript is rejected as a
-// checkpoint mismatch rather than replayed.
+// file's digest chain must verify; passing a node key additionally
+// requires a valid MAC chain under it, so a tampered transcript is rejected
+// as a checkpoint mismatch rather than replayed.
 func LoadAttackCheckpoint(path string, key ...[]byte) (*AttackCheckpoint, error) {
 	var k []byte
 	if len(key) > 0 {
@@ -631,9 +631,9 @@ func WithAttackVoting(votes, quorum int) AttackOption {
 	return func(c *attackConfig) { c.opts.Votes, c.opts.Quorum = votes, quorum }
 }
 
-// WithCheckpoint makes the attack write its oracle transcript atomically to
-// path every `every` iterations (<=1: every iteration), so a killed attack
-// loses no oracle work.
+// WithCheckpoint makes the attack journal its oracle transcript to path,
+// appending every `every` iterations (<=1: every iteration), so a killed
+// attack loses no oracle work.
 func WithCheckpoint(path string, every int) AttackOption {
 	return func(c *attackConfig) { c.opts.CheckpointPath, c.opts.CheckpointEvery = path, every }
 }

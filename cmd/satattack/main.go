@@ -26,8 +26,8 @@
 //
 // The robustness flags harden the oracle loop: -retries retries each oracle
 // query with exponential backoff, -votes/-quorum answer each DIP by majority
-// vote over repeated queries, -checkpoint writes the oracle transcript
-// atomically every -checkpoint-every iterations, and -resume continues a
+// vote over repeated queries, -checkpoint journals the oracle transcript,
+// appending every -checkpoint-every iterations, and -resume continues a
 // killed attack bit-identically from its checkpoint. -checkpoint-key-file
 // names a node secret (hex, generated on first use) that MACs every
 // checkpoint write and is required to verify on -resume, so a tampered

@@ -1,17 +1,17 @@
 package satattack
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 
-	"bindlock/internal/metrics"
 	"bindlock/internal/netlist"
 )
 
@@ -28,17 +28,27 @@ import (
 // bit-identical to an uninterrupted run, without serialising any solver
 // internals. Re-solving is cheap; oracle queries against a flaky physical
 // IC are the resource checkpoints exist to protect.
+//
+// On disk a checkpoint is an append-only journal of JSON lines: a header
+// (version, circuit shape, solver, cycle_break), then one record per DIP
+// (the DIP, its answer, the cumulative oracle calls after it). Every line
+// carries a sha256 digest chained over the previous line's digest and its
+// own canonical compact body, and, under a node key, an HMAC chained the
+// same way. An attack creates the file once and then appends only the
+// records each checkpoint write adds: one write and one fsync per write,
+// whatever the transcript length.
 
 // CheckpointVersion is the format version written by Save and required by
 // LoadCheckpoint. Version 2 guards the miter's at-least-one-difference
 // clause behind an activation literal (the warm-solver refactor) — a version
 // 1 transcript would replay against a different clause stream and could
 // diverge mid-resume, so it is rejected up front rather than part-replayed.
-// Version 3 adds the integrity envelope (Digest always, MAC when keyed): a
-// bit-rotted or attacker-modified transcript is detected at load and
-// treated as a checkpoint mismatch — cold restart — never part-replayed
-// into a silently divergent resume.
-const CheckpointVersion = 3
+// Version 3 added a whole-document integrity envelope. Version 4 is the
+// append-only journal with per-line digest and MAC chains: a bit-rotted or
+// attacker-modified line is detected at load and treated as a checkpoint
+// mismatch — cold restart — never part-replayed into a silently divergent
+// resume.
+const CheckpointVersion = 4
 
 // ErrCheckpointMismatch reports a checkpoint that does not belong to the
 // attack being resumed: wrong circuit shape, or a replayed iteration solved
@@ -47,130 +57,128 @@ var ErrCheckpointMismatch = errors.New("satattack: checkpoint mismatch")
 
 // Checkpoint is the durable state of a partially completed attack. Bit
 // vectors are '0'/'1' strings, LSB first (index i of the slice is byte i of
-// the string), keeping the JSON diffable and platform-independent.
+// the string).
 type Checkpoint struct {
-	Version   int    `json:"version"`
-	Circuit   string `json:"circuit"`
-	InputBits int    `json:"input_bits"`
-	KeyBits   int    `json:"key_bits"`
-	// Iterations is the number of completed DIP iterations; DIPs and
-	// Answers each hold exactly that many entries, in discovery order.
-	Iterations int `json:"iterations"`
+	Version   int
+	Circuit   string
+	InputBits int
+	KeyBits   int
+	// Iterations is the number of completed DIP iterations; DIPs, Answers
+	// and Calls each hold exactly that many entries, in discovery order.
+	Iterations int
 	// OracleCalls counts physical oracle invocations so far — retries and
-	// votes included. A resumed run seeds its querier with it, and a fault
-	// injector wrapped around the oracle is Seek'd to it, so the injected
-	// fault schedule stays aligned with an uninterrupted run.
-	OracleCalls uint64   `json:"oracle_calls"`
-	DIPs        []string `json:"dips"`
-	Answers     []string `json:"answers"`
+	// votes included; it is the last entry of Calls (0 with no DIPs). A
+	// resumed run seeds its querier with it, and a fault injector wrapped
+	// around the oracle is Seek'd to it, so the injected fault schedule
+	// stays aligned with an uninterrupted run.
+	OracleCalls uint64
+	DIPs        []string
+	Answers     []string
+	// Calls holds the cumulative oracle calls after each DIP was answered,
+	// so any prefix of the transcript carries its own OracleCalls.
+	Calls []uint64
 	// Solver names the sat backend that produced the transcript ("" means
-	// the default backend, for transcripts written before the field existed).
-	// Different engines walk different DIP sequences, so resuming under
-	// another backend is rejected.
-	Solver string `json:"solver,omitempty"`
+	// the default backend). Different engines walk different DIP sequences,
+	// so resuming under another backend is rejected.
+	Solver string
 	// CycleBreak records whether the transcript was produced with CycSAT
 	// cycle-breaking constraints conjoined (Options.CycleBreak). The
 	// constraints change the miter's clause stream and therefore the DIP
-	// sequence, so a transcript never replays across modes. omitempty keeps
-	// pre-cyclic version-3 files loading: they were all written with the
-	// flag effectively false.
-	CycleBreak bool `json:"cycle_break,omitempty"`
-	// Metrics optionally embeds the registry snapshot at save time, for
-	// post-mortem inspection; resume does not consume it.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
-	// Digest is "sha256:<hex>" over the canonical encoding of the
-	// checkpoint with Digest and MAC cleared. Always written; detects
-	// accidental corruption (bit rot, torn bytes) even for unkeyed loads.
-	Digest string `json:"digest,omitempty"`
-	// MAC is "hmac-sha256:<hex>" over the same canonical bytes, keyed by
-	// the node checkpoint key. Written when saving with a key; a keyed
-	// load REQUIRES a valid MAC, so an attacker who can rewrite the file
-	// (and recompute the digest) still cannot forge a transcript without
-	// the key.
-	MAC string `json:"mac,omitempty"`
+	// sequence, so a transcript never replays across modes.
+	CycleBreak bool
 }
 
-// digestPrefix / macPrefix name the algorithms in the envelope fields, so a
+// lineSeal is the integrity suffix of every journal line. Digest is
+// "sha256:<hex>" of the previous line's digest followed by this line's
+// canonical body (the line with both fields cleared, compact JSON); MAC is
+// "hmac-sha256:<hex>" of the previous line's MAC and the same body under
+// the node key. The chains bind each line to everything before it, so an
+// edited, deleted, reordered or spliced line fails to verify.
+type lineSeal struct {
+	Digest string `json:"digest,omitempty"`
+	MAC    string `json:"mac,omitempty"`
+}
+
+// journalHeader is a journal's first line.
+type journalHeader struct {
+	Version    int    `json:"version"`
+	Circuit    string `json:"circuit"`
+	InputBits  int    `json:"input_bits"`
+	KeyBits    int    `json:"key_bits"`
+	Solver     string `json:"solver,omitempty"`
+	CycleBreak bool   `json:"cycle_break,omitempty"`
+	lineSeal
+}
+
+// journalRecord is one DIP iteration.
+type journalRecord struct {
+	DIP         string `json:"dip"`
+	Answer      string `json:"answer"`
+	OracleCalls uint64 `json:"oracle_calls"`
+	lineSeal
+}
+
+// digestPrefix / macPrefix name the algorithms in the seal fields, so a
 // future rotation is a new prefix rather than a silent format change.
 const (
 	digestPrefix = "sha256:"
 	macPrefix    = "hmac-sha256:"
 )
 
-// canonicalBytes returns the encoding the integrity envelope signs: compact
-// JSON of the checkpoint with both envelope fields cleared.
-func (cp *Checkpoint) canonicalBytes() ([]byte, error) {
-	c := *cp
-	c.Digest, c.MAC = "", ""
-	data, err := json.Marshal(&c)
-	if err != nil {
-		return nil, fmt.Errorf("satattack: checkpoint encode: %w", err)
-	}
-	return data, nil
+// chain is the running state of a journal's integrity chains: the last
+// line's digest and, when keyed, its MAC.
+type chain struct {
+	key         []byte
+	digest, mac []byte
 }
 
-// seal fills the integrity envelope: Digest always, MAC when key is non-nil.
-func (cp *Checkpoint) seal(key []byte) error {
-	canon, err := cp.canonicalBytes()
-	if err != nil {
-		return err
+func link(h hash.Hash, prev, body []byte) []byte {
+	h.Write(prev)
+	h.Write(body)
+	return h.Sum(nil)
+}
+
+// seal clears v's embedded seal s and returns the seal v's canonical body
+// earns as the chain's next line, advancing the chain past it.
+func (c *chain) seal(v any, s *lineSeal) lineSeal {
+	*s = lineSeal{}
+	body, _ := json.Marshal(v) // cannot fail: strings, integers and bools only
+	c.digest = link(sha256.New(), c.digest, body)
+	out := lineSeal{Digest: digestPrefix + hex.EncodeToString(c.digest)}
+	if len(c.key) > 0 {
+		c.mac = link(hmac.New(sha256.New, c.key), c.mac, body)
+		out.MAC = macPrefix + hex.EncodeToString(c.mac)
 	}
-	sum := sha256.Sum256(canon)
-	cp.Digest = digestPrefix + hex.EncodeToString(sum[:])
-	cp.MAC = ""
-	if len(key) > 0 {
-		mac := hmac.New(sha256.New, key)
-		mac.Write(canon)
-		cp.MAC = macPrefix + hex.EncodeToString(mac.Sum(nil))
+	return out
+}
+
+// appendLine seals v, whose embedded seal is s, and appends it to buf as
+// the chain's next line.
+func (c *chain) appendLine(buf []byte, v any, s *lineSeal) []byte {
+	*s = c.seal(v, s)
+	line, _ := json.Marshal(v)
+	return append(append(buf, line...), '\n')
+}
+
+// verify checks the seal s that v was read with against the chain's next
+// line. Unkeyed, the digest must verify; keyed, a valid MAC is additionally
+// REQUIRED — a missing or wrong MAC is tamper, not a soft downgrade.
+func (c *chain) verify(v any, s *lineSeal) error {
+	got := *s
+	want := c.seal(v, s)
+	if got.Digest != want.Digest {
+		return errors.New("digest verification failed (corrupt checkpoint)")
+	}
+	if len(c.key) > 0 && !hmac.Equal([]byte(got.MAC), []byte(want.MAC)) {
+		return errors.New("MAC verification failed (tampered checkpoint, or written without the node key)")
 	}
 	return nil
 }
 
-// verifyEnvelope checks the integrity envelope against the canonical bytes.
-// Unkeyed: the digest must verify (tolerating pre-envelope files only via
-// the version gate, which already rejected them). Keyed: a valid MAC under
-// the key is additionally REQUIRED — a missing or wrong MAC is tamper, not
-// a soft downgrade. Every failure wraps ErrCheckpointMismatch.
-func (cp *Checkpoint) verifyEnvelope(key []byte) error {
-	canon, err := cp.canonicalBytes()
-	if err != nil {
-		return err
-	}
-	digest, ok := cutPrefix(cp.Digest, digestPrefix)
-	if !ok {
-		return fmt.Errorf("%w: missing or malformed digest %q", ErrCheckpointMismatch, cp.Digest)
-	}
-	sum := sha256.Sum256(canon)
-	want, err := hex.DecodeString(digest)
-	if err != nil || subtle.ConstantTimeCompare(sum[:], want) != 1 {
-		return fmt.Errorf("%w: digest verification failed (corrupt checkpoint)", ErrCheckpointMismatch)
-	}
-	if len(key) == 0 {
-		return nil
-	}
-	tag, ok := cutPrefix(cp.MAC, macPrefix)
-	if !ok {
-		return fmt.Errorf("%w: keyed load requires an hmac-sha256 MAC, got %q", ErrCheckpointMismatch, cp.MAC)
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(canon)
-	got, err := hex.DecodeString(tag)
-	if err != nil || !hmac.Equal(mac.Sum(nil), got) {
-		return fmt.Errorf("%w: MAC verification failed (tampered checkpoint)", ErrCheckpointMismatch)
-	}
-	return nil
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) < len(prefix) || s[:len(prefix)] != prefix {
-		return "", false
-	}
-	return s[len(prefix):], true
-}
-
-// LoadCheckpoint reads and validates a checkpoint file written by Save.
-// key, when non-nil, is the node checkpoint key: the file's MAC must then
-// verify, so a tampered transcript cold-restarts instead of resuming.
+// LoadCheckpoint reads and validates a checkpoint file written by Save or
+// a checkpointing attack. key, when non-nil, is the node checkpoint key:
+// every line's MAC must then verify, so a tampered transcript cold-restarts
+// instead of resuming.
 func LoadCheckpoint(path string, key []byte) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -186,69 +194,178 @@ func LoadCheckpoint(path string, key []byte) (*Checkpoint, error) {
 // DecodeCheckpoint parses and validates checkpoint bytes (see
 // LoadCheckpoint). It is the seam for callers that interpose on the raw
 // read — the server routes checkpoint bytes through the fault injector's
-// corruption site before decoding. Integrity, version and shape failures
-// all wrap ErrCheckpointMismatch.
+// corruption site before decoding. An unterminated final line that fails
+// to verify is a torn append and is dropped: the checkpoint is its verified
+// prefix. Any newline-terminated line that fails, and any integrity,
+// version or shape failure, wraps ErrCheckpointMismatch.
 func DecodeCheckpoint(data []byte, key []byte) (*Checkpoint, error) {
-	cp := &Checkpoint{}
-	if err := json.Unmarshal(data, cp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
-	}
-	if err := cp.verifyEnvelope(key); err != nil {
-		return nil, err
-	}
-	if len(cp.DIPs) != cp.Iterations || len(cp.Answers) != cp.Iterations {
-		return nil, fmt.Errorf("%w: %d iterations but %d DIPs / %d answers",
-			ErrCheckpointMismatch, cp.Iterations, len(cp.DIPs), len(cp.Answers))
-	}
-	for i := range cp.DIPs {
-		if _, err := stringToBits(cp.DIPs[i]); err != nil {
-			return nil, fmt.Errorf("%w: DIP %d: %v", ErrCheckpointMismatch, i, err)
+	c := chain{key: key}
+	var cp *Checkpoint
+	for n := 1; len(data) > 0; n++ {
+		line, rest, terminated := bytes.Cut(data, []byte{'\n'})
+		data = rest
+		var err error
+		if cp == nil {
+			cp, err = c.openHeader(line)
+		} else {
+			err = c.openRecord(line, cp)
 		}
-		if _, err := stringToBits(cp.Answers[i]); err != nil {
-			return nil, fmt.Errorf("%w: answer %d: %v", ErrCheckpointMismatch, i, err)
+		if err != nil {
+			if !terminated {
+				break // torn append: keep the verified prefix
+			}
+			return nil, fmt.Errorf("%w: line %d: %v", ErrCheckpointMismatch, n, err)
 		}
+	}
+	if cp == nil {
+		return nil, fmt.Errorf("%w: no complete header line", ErrCheckpointMismatch)
 	}
 	return cp, nil
 }
 
-// Save writes the checkpoint atomically: JSON to a temp file in the target
-// directory, fsync'd, then renamed over path. A crash mid-write leaves
-// either the previous checkpoint or the new one, never a torn file. The
-// integrity envelope is (re)computed on every save; key, when non-nil,
-// additionally MACs the transcript (see Digest/MAC).
-func (cp *Checkpoint) Save(path string, key []byte) error {
-	if err := cp.seal(key); err != nil {
+func (c *chain) openHeader(line []byte) (*Checkpoint, error) {
+	var h journalHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return nil, err
+	}
+	if h.Version != CheckpointVersion {
+		return nil, fmt.Errorf("version %d, want %d", h.Version, CheckpointVersion)
+	}
+	if err := c.verify(&h, &h.lineSeal); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{
+		Version: h.Version, Circuit: h.Circuit, InputBits: h.InputBits, KeyBits: h.KeyBits,
+		Solver: h.Solver, CycleBreak: h.CycleBreak,
+	}, nil
+}
+
+func (c *chain) openRecord(line []byte, cp *Checkpoint) error {
+	var r journalRecord
+	if err := json.Unmarshal(line, &r); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(cp, "", "  ")
-	if err != nil {
+	if err := c.verify(&r, &r.lineSeal); err != nil {
+		return err
+	}
+	if _, err := stringToBits(r.DIP); err != nil || len(r.DIP) != cp.InputBits {
+		return fmt.Errorf("DIP %q is not a %d-bit vector", r.DIP, cp.InputBits)
+	}
+	if _, err := stringToBits(r.Answer); err != nil {
+		return fmt.Errorf("answer: %v", err)
+	}
+	cp.Iterations++
+	cp.DIPs = append(cp.DIPs, r.DIP)
+	cp.Answers = append(cp.Answers, r.Answer)
+	cp.Calls = append(cp.Calls, r.OracleCalls)
+	cp.OracleCalls = r.OracleCalls
+	return nil
+}
+
+// journal is a checkpoint file an attack appends to. Lines are sealed into
+// pending as the transcript grows; flush makes them durable with one write
+// and one fsync, the first flush creating the file.
+type journal struct {
+	chain
+	pending []byte
+	unsaved int // records in pending
+	f       *os.File
+}
+
+// newJournal seals cp's header and every record it already holds.
+func newJournal(cp *Checkpoint, key []byte) (*journal, error) {
+	n := cp.Iterations
+	if len(cp.DIPs) != n || len(cp.Answers) != n || len(cp.Calls) != n ||
+		(n > 0 && cp.Calls[n-1] != cp.OracleCalls) || (n == 0 && cp.OracleCalls != 0) {
+		return nil, fmt.Errorf("%w: %d iterations but %d DIPs / %d answers / %d call counts ending at %d oracle calls",
+			ErrCheckpointMismatch, n, len(cp.DIPs), len(cp.Answers), len(cp.Calls), cp.OracleCalls)
+	}
+	j := &journal{chain: chain{key: key}}
+	h := journalHeader{
+		Version: cp.Version, Circuit: cp.Circuit, InputBits: cp.InputBits, KeyBits: cp.KeyBits,
+		Solver: cp.Solver, CycleBreak: cp.CycleBreak,
+	}
+	j.pending = j.appendLine(j.pending, &h, &h.lineSeal)
+	for i := range cp.DIPs {
+		j.add(cp.DIPs[i], cp.Answers[i], cp.Calls[i])
+	}
+	return j, nil
+}
+
+// add seals one record into pending.
+func (j *journal) add(dip, answer string, calls uint64) {
+	r := journalRecord{DIP: dip, Answer: answer, OracleCalls: calls}
+	j.pending = j.appendLine(j.pending, &r, &r.lineSeal)
+	j.unsaved++
+}
+
+// flush writes pending to path and fsyncs it. The first flush creates the
+// file atomically — temp file, fsync, rename, directory fsync — so a crash
+// leaves either the previous file or the new one, never a torn header; the
+// file then stays open and later flushes append to it. A crash mid-append
+// leaves an unterminated last line, which loading drops.
+func (j *journal) flush(path string) error {
+	if err := j.write(path); err != nil {
 		return fmt.Errorf("satattack: save checkpoint: %w", err)
 	}
-	data = append(data, '\n')
+	j.pending, j.unsaved = j.pending[:0], 0
+	return nil
+}
+
+func (j *journal) write(path string) error {
+	if j.f != nil {
+		if _, err := j.f.Write(j.pending); err != nil {
+			return err
+		}
+		return j.f.Sync()
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("satattack: save checkpoint: %w", err)
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(j.pending)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	j.f = tmp
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// close releases the journal's file, if a flush created one.
+func (j *journal) close() error {
+	if j.f == nil {
+		return nil
+	}
+	return j.f.Close()
+}
+
+// Save writes the checkpoint as a fresh journal, atomically: a crash leaves
+// either the previous file at path or the new one. key, when non-nil,
+// additionally MACs every line.
+func (cp *Checkpoint) Save(path string, key []byte) error {
+	j, err := newJournal(cp, key)
+	if err != nil {
 		return fmt.Errorf("satattack: save checkpoint: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("satattack: save checkpoint: %w", err)
+	err = j.flush(path)
+	if cerr := j.close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("satattack: save checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("satattack: save checkpoint: %w", err)
-	}
-	return nil
+	return err
 }
 
 // validateFor rejects a checkpoint recorded against a different circuit, a
@@ -296,14 +413,6 @@ func stringToBits(s string) ([]bool, error) {
 		}
 	}
 	return bits, nil
-}
-
-func encodeBitVectors(vs [][]bool) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = bitsToString(v)
-	}
-	return out
 }
 
 func equalBits(a, b []bool) bool {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -217,14 +219,21 @@ func TestAttackOracleFailurePartialResult(t *testing.T) {
 	}
 }
 
+// testCheckpoint is a hand-built three-DIP transcript for the format tests.
+func testCheckpoint() *Checkpoint {
+	return &Checkpoint{
+		Version: CheckpointVersion, Circuit: "adder4", InputBits: 8, KeyBits: 8,
+		Iterations: 3, OracleCalls: 17,
+		DIPs:    []string{"01010101", "10000001", "11110000"},
+		Answers: []string{"00110", "11001", "10101"},
+		Calls:   []uint64{5, 11, 17},
+		Solver:  "cdcl", CycleBreak: true,
+	}
+}
+
 func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "attack.ckpt")
-	cp := &Checkpoint{
-		Version: CheckpointVersion, Circuit: "adder4", InputBits: 8, KeyBits: 8,
-		Iterations: 2, OracleCalls: 17,
-		DIPs:    []string{"01010101", "10000001"},
-		Answers: []string{"00110", "11001"},
-	}
+	cp := testCheckpoint()
 	if err := cp.Save(path, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +241,8 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(cp)
-	b, _ := json.Marshal(got)
-	if string(a) != string(b) {
-		t.Errorf("round trip mismatch:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(got, cp) {
+		t.Errorf("round trip mismatch:\n%+v\n%+v", got, cp)
 	}
 
 	bad := *cp
@@ -246,131 +253,186 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if _, err := LoadCheckpoint(path, nil); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("wrong version: err = %v, want ErrCheckpointMismatch", err)
 	}
+	// The iteration count is the record count, so a checkpoint whose count
+	// disagrees with its transcript cannot be written at all.
 	bad = *cp
-	bad.Iterations = 3
-	if err := bad.Save(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	bad.Iterations = 4
+	if err := bad.Save(path, nil); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("truncated transcript: err = %v, want ErrCheckpointMismatch", err)
+	}
+	bad = *cp
+	bad.OracleCalls = 18
+	if err := bad.Save(path, nil); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("oracle calls off the last record: err = %v, want ErrCheckpointMismatch", err)
 	}
 	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent"), nil); err == nil {
 		t.Error("missing file must error")
 	}
 }
 
-// TestCheckpointTamperDetected pins the v3 integrity envelope: a checkpoint
-// whose bytes changed on disk after Save — bit rot, a torn write, or hand
-// editing — fails to load with ErrCheckpointMismatch rather than resuming a
-// silently divergent transcript.
-func TestCheckpointTamperDetected(t *testing.T) {
+// journalLines saves cp and returns the file's newline-terminated lines.
+func journalLines(t *testing.T, cp *Checkpoint, key []byte) [][]byte {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "attack.ckpt")
-	cp := &Checkpoint{
-		Version: CheckpointVersion, Circuit: "adder4", InputBits: 8, KeyBits: 8,
-		Iterations: 2, OracleCalls: 17,
-		DIPs:    []string{"01010101", "10000001"},
-		Answers: []string{"00110", "11001"},
-	}
-	if err := cp.Save(path, nil); err != nil {
+	if err := cp.Save(path, key); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Edit one covered field without breaking the JSON: the recorded oracle
-	// transcript now claims 97 calls instead of 17.
-	tampered := bytes.Replace(raw, []byte(`"oracle_calls": 17`), []byte(`"oracle_calls": 97`), 1)
-	if bytes.Equal(tampered, raw) {
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	if n := len(lines); n != cp.Iterations+2 || len(lines[n-1]) != 0 {
+		t.Fatalf("journal has %d lines, want a header, %d records and a final newline", n, cp.Iterations)
+	}
+	return lines[:len(lines)-1]
+}
+
+// TestCheckpointTamperDetected pins the v4 integrity chain: a journal
+// whose bytes changed on disk after Save — bit rot, hand editing, or
+// records deleted or reordered — fails to load with ErrCheckpointMismatch
+// rather than resuming a silently divergent transcript.
+func TestCheckpointTamperDetected(t *testing.T) {
+	cp := testCheckpoint()
+	lines := journalLines(t, cp, nil)
+	decode := func(ls ...[]byte) (*Checkpoint, error) {
+		return DecodeCheckpoint(bytes.Join(ls, nil), nil)
+	}
+	// Edit one covered field without breaking the JSON: the last record now
+	// claims 97 oracle calls instead of 17.
+	edited := bytes.Replace(lines[3], []byte(`"oracle_calls":17`), []byte(`"oracle_calls":97`), 1)
+	if bytes.Equal(edited, lines[3]) {
 		t.Fatal("fixture drifted: oracle_calls field not found")
 	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := decode(lines[0], lines[1], lines[2], edited); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("tampered field: err = %v, want ErrCheckpointMismatch", err)
 	}
-	// Reformatting alone (whitespace) is not tamper: the digest covers the
-	// canonical compact encoding, not the pretty-printed file bytes.
-	var loose map[string]any
-	if err := json.Unmarshal(raw, &loose); err != nil {
-		t.Fatal(err)
+	// The chain binds every record to its predecessors: a deleted middle
+	// record or two swapped records fail even though each line is intact.
+	if _, err := decode(lines[0], lines[1], lines[3]); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("deleted middle record: err = %v, want ErrCheckpointMismatch", err)
 	}
-	compact, err := json.Marshal(loose)
+	if _, err := decode(lines[0], lines[2], lines[1], lines[3]); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("swapped records: err = %v, want ErrCheckpointMismatch", err)
+	}
+	// Reformatting a record (whitespace) is not tamper: the digest covers
+	// the canonical compact encoding, not the file bytes.
+	loose := append([]byte("  "), bytes.ReplaceAll(bytes.ReplaceAll(lines[2],
+		[]byte(`":`), []byte(`": `)), []byte(`,"`), []byte(`, "`))...)
+	got, err := decode(lines[0], lines[1], loose, lines[3])
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reformatted record rejected: %v", err)
 	}
-	if err := os.WriteFile(path, compact, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, nil); err != nil {
-		t.Fatalf("reformatted checkpoint rejected: %v", err)
+	if !reflect.DeepEqual(got, cp) {
+		t.Fatalf("reformatted journal decoded to %+v, want %+v", got, cp)
 	}
 	// Unparseable bytes are the same mismatch, not a different failure mode.
-	if _, err := DecodeCheckpoint([]byte(`{"version": 3, "torn`), nil); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("torn bytes: err = %v, want ErrCheckpointMismatch", err)
+	for _, garbage := range []string{`{"version": 4, "torn`, "garbage\n", ""} {
+		if _, err := DecodeCheckpoint([]byte(garbage), nil); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Fatalf("garbage %q: err = %v, want ErrCheckpointMismatch", garbage, err)
+		}
 	}
-	// A pre-envelope file (version 2, no digest) is rejected by the version
-	// gate before any envelope check.
-	old := *cp
-	old.Version, old.Digest, old.MAC = 2, "", ""
-	data, err := json.Marshal(&old)
+	// A version-3 document, indented or compact, is rejected.
+	v3 := map[string]any{
+		"version": 3, "circuit": cp.Circuit, "input_bits": cp.InputBits, "key_bits": cp.KeyBits,
+		"iterations": cp.Iterations, "oracle_calls": cp.OracleCalls,
+		"dips": cp.DIPs, "answers": cp.Answers, "digest": "sha256:00",
+	}
+	indented, err := json.MarshalIndent(v3, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCheckpoint(data, nil); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("v2 file: err = %v, want ErrCheckpointMismatch", err)
+	compact, err := json.Marshal(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range [][]byte{indented, compact} {
+		if _, err := DecodeCheckpoint(append(doc, '\n'), nil); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Fatalf("v3 document: err = %v, want ErrCheckpointMismatch", err)
+		}
 	}
 }
 
 // TestCheckpointMACKeying pins keyed-mode semantics: a node key at load time
-// REQUIRES a valid MAC — unkeyed files and wrong-key MACs are tamper — while
-// a keyed file still loads digest-only where no key is configured.
+// REQUIRES the MAC chain — unkeyed files and wrong-key MACs are tamper —
+// while a keyed file still loads digest-only where no key is configured.
 func TestCheckpointMACKeying(t *testing.T) {
 	key := bytes.Repeat([]byte{0x5c}, 32)
-	path := filepath.Join(t.TempDir(), "attack.ckpt")
-	cp := &Checkpoint{
-		Version: CheckpointVersion, Circuit: "adder4", InputBits: 8, KeyBits: 8,
-		Iterations: 1, OracleCalls: 9,
-		DIPs:    []string{"01010101"},
-		Answers: []string{"00110"},
+	cp := testCheckpoint()
+	lines := journalLines(t, cp, key)
+	keyed := bytes.Join(lines, nil)
+	if got, err := DecodeCheckpoint(keyed, key); err != nil || !reflect.DeepEqual(got, cp) {
+		t.Fatalf("keyed round trip: %+v, %v", got, err)
 	}
-	if err := cp.Save(path, key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, key); err != nil {
-		t.Fatalf("keyed round trip: %v", err)
-	}
-	if _, err := LoadCheckpoint(path, nil); err != nil {
+	if _, err := DecodeCheckpoint(keyed, nil); err != nil {
 		t.Fatalf("keyed file under an unkeyed load (digest-only): %v", err)
 	}
-	if _, err := LoadCheckpoint(path, bytes.Repeat([]byte{0x11}, 32)); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := DecodeCheckpoint(keyed, bytes.Repeat([]byte{0x11}, 32)); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("wrong key: err = %v, want ErrCheckpointMismatch", err)
 	}
-	// One flipped MAC hex digit voids the envelope.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Every line carries a MAC, and one flipped hex digit in any of them
+	// voids the chain.
+	for n, line := range lines {
+		i := bytes.Index(line, []byte("hmac-sha256:"))
+		if i < 0 {
+			t.Fatalf("keyed save wrote no MAC on line %d", n+1)
+		}
+		raw := bytes.Clone(keyed)
+		raw[len(bytes.Join(lines[:n], nil))+i+len("hmac-sha256:")] ^= 0x01
+		if _, err := DecodeCheckpoint(raw, key); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Fatalf("flipped MAC digit on line %d: err = %v, want ErrCheckpointMismatch", n+1, err)
+		}
 	}
-	i := bytes.Index(raw, []byte("hmac-sha256:"))
-	if i < 0 {
-		t.Fatal("keyed save wrote no MAC")
-	}
-	raw[i+len("hmac-sha256:")] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, key); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("flipped MAC digit: err = %v, want ErrCheckpointMismatch", err)
-	}
-	// An unkeyed file cannot satisfy a keyed load: stripping the MAC is not
-	// a downgrade an attacker gets for free.
-	if err := cp.Save(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path, key); !errors.Is(err, ErrCheckpointMismatch) {
+	// An unkeyed file cannot satisfy a keyed load: stripping the MACs and
+	// recomputing the digests is not a downgrade an attacker gets for free.
+	unkeyed := bytes.Join(journalLines(t, cp, nil), nil)
+	if _, err := DecodeCheckpoint(unkeyed, key); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("MAC-less file under a keyed load: err = %v, want ErrCheckpointMismatch", err)
 	}
+}
+
+// FuzzDecodeCheckpoint: decoding arbitrary bytes never panics, every
+// failure is a checkpoint mismatch, and every accepted input re-saved with
+// Save decodes to the same Checkpoint.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	key := bytes.Repeat([]byte{0x5c}, 32)
+	dir := f.TempDir()
+	for i, k := range [][]byte{nil, key} {
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.ckpt", i))
+		if err := testCheckpoint().Save(path, k); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:len(raw)-7]) // torn tail
+	}
+	f.Add([]byte(`{"version": 3, "torn`))
+	f.Add([]byte("{\n  \"version\": 3\n}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range [][]byte{nil, key} {
+			cp, err := DecodeCheckpoint(data, k)
+			if err != nil {
+				if !errors.Is(err, ErrCheckpointMismatch) {
+					t.Fatalf("decode error %v does not wrap ErrCheckpointMismatch", err)
+				}
+				continue
+			}
+			path := filepath.Join(t.TempDir(), "resaved.ckpt")
+			if err := cp.Save(path, k); err != nil {
+				t.Fatalf("accepted checkpoint does not re-save: %v", err)
+			}
+			again, err := LoadCheckpoint(path, k)
+			if err != nil {
+				t.Fatalf("re-saved checkpoint does not load: %v", err)
+			}
+			if !reflect.DeepEqual(again, cp) {
+				t.Fatalf("re-saved checkpoint decodes differently:\n%+v\n%+v", again, cp)
+			}
+		}
+	})
 }
 
 func TestCheckpointRejectsWrongCircuit(t *testing.T) {
@@ -494,6 +556,173 @@ func TestAttackCheckpointMismatchOnDivergence(t *testing.T) {
 	_, err := Attack(context.Background(), locked, oracle, Options{Resume: cp})
 	if !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// sfllAdder4 is the width-4 adder under SFLL-HD(0) on secret 5: an attack
+// of well over 20 DIPs that finishes in milliseconds.
+func sfllAdder4(t *testing.T) (*netlist.Circuit, Oracle) {
+	t.Helper()
+	base, err := netlist.NewAdder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, key, err := netlist.LockSFLLHD0(base, []uint64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return locked, OracleFromCircuit(locked, key)
+}
+
+// cancelAt runs a checkpointing attack on path and cancels it once DIP k
+// is done, returning the checkpoint the run left behind.
+func cancelAt(t *testing.T, k int, locked *netlist.Circuit, oracle Oracle, opts Options) *Checkpoint {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hook := progress.Func(func(e progress.Event) {
+		if e.Kind == progress.Step && e.Phase == "attack" && e.Done >= k {
+			cancel()
+		}
+	})
+	opts.CheckpointEvery = 1
+	if _, err := Attack(progress.NewContext(ctx, hook), locked, oracle, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("attack cancelled at DIP %d returned %v", k, err)
+	}
+	cp, err := LoadCheckpoint(opts.CheckpointPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// requireSameAttack compares a resumed run with an uninterrupted one.
+func requireSameAttack(t *testing.T, got, want *Result) {
+	t.Helper()
+	if !equalBits(got.Key, want.Key) || got.Iterations != want.Iterations || len(got.DIPs) != len(want.DIPs) {
+		t.Fatalf("resumed run: %d DIPs, key %v; uninterrupted: %d DIPs, key %v",
+			got.Iterations, got.Key, want.Iterations, want.Key)
+	}
+	for i := range got.DIPs {
+		if !equalBits(got.DIPs[i], want.DIPs[i]) {
+			t.Fatalf("DIP %d diverged after resume", i+1)
+		}
+	}
+}
+
+// TestResumeKeepsReplayedTranscript: a resumed run cancelled during its
+// replay must leave the whole recorded transcript on disk — every paid-for
+// answer and the oracle-call count that goes with it — not the prefix it
+// had replayed so far.
+func TestResumeKeepsReplayedTranscript(t *testing.T) {
+	locked, oracle := sfllAdder4(t)
+	full, _ := attackToCompletion(t, locked, oracle, Options{})
+	path := filepath.Join(t.TempDir(), "attack.ckpt")
+	cp := cancelAt(t, 20, locked, oracle, Options{CheckpointPath: path})
+	if cp.Iterations != 20 {
+		t.Fatalf("first run left %d DIPs, want 20", cp.Iterations)
+	}
+	again := cancelAt(t, 3, locked, oracle, Options{CheckpointPath: path, Resume: cp})
+	if again.Iterations != 20 || again.OracleCalls != cp.OracleCalls {
+		t.Fatalf("resume cancelled at replayed DIP 3 left %d DIPs and %d oracle calls, want 20 and %d",
+			again.Iterations, again.OracleCalls, cp.OracleCalls)
+	}
+	res, _ := attackToCompletion(t, locked, oracle, Options{CheckpointPath: path, Resume: again})
+	requireSameAttack(t, res, full)
+}
+
+// TestCheckpointTornTailResumes: a journal cut mid-line by a crash during
+// an append loads as its complete prefix, carrying that prefix's oracle-call
+// count, and resumes to the uninterrupted result.
+func TestCheckpointTornTailResumes(t *testing.T) {
+	locked, oracle := sfllAdder4(t)
+	opts := Options{Votes: 3} // three oracle calls per DIP
+	full, _ := attackToCompletion(t, locked, oracle, opts)
+	path := filepath.Join(t.TempDir(), "attack.ckpt")
+	opts.CheckpointPath = path
+	cp := cancelAt(t, 20, locked, oracle, opts)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := LoadCheckpoint(path, nil)
+	if err != nil {
+		t.Fatalf("torn journal: %v", err)
+	}
+	if torn.Iterations != 19 || torn.OracleCalls != 57 || torn.OracleCalls != cp.Calls[18] {
+		t.Fatalf("torn journal loads %d DIPs and %d oracle calls, want 19 and 57 (recorded %d)",
+			torn.Iterations, torn.OracleCalls, cp.Calls[18])
+	}
+	if !reflect.DeepEqual(torn.DIPs, cp.DIPs[:19]) || !reflect.DeepEqual(torn.Answers, cp.Answers[:19]) {
+		t.Fatal("torn journal is not the recorded prefix")
+	}
+	opts.CheckpointPath, opts.Resume = "", torn
+	res, _ := attackToCompletion(t, locked, oracle, opts)
+	requireSameAttack(t, res, full)
+}
+
+// TestAttackCheckpointAnswerWidth: a recorded answer narrower than the
+// circuit's outputs is a checkpoint mismatch, not an index panic mid-replay.
+func TestAttackCheckpointAnswerWidth(t *testing.T) {
+	locked, oracle := sfllAdder4(t)
+	full, _ := attackToCompletion(t, locked, oracle, Options{})
+	cp := &Checkpoint{
+		Version: CheckpointVersion, Circuit: locked.Name,
+		InputBits: len(locked.Inputs), KeyBits: len(locked.Keys),
+		Iterations: 1, OracleCalls: 1, Calls: []uint64{1},
+		DIPs:    []string{bitsToString(full.DIPs[0])},
+		Answers: []string{"0"},
+	}
+	if _, err := Attack(context.Background(), locked, oracle, Options{Resume: cp}); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestCheckpointJournalAppendsInPlace pins the write path's cost: after the
+// first write creates the file, every DIP appends one record to the same
+// inode, a number of bytes that does not grow with the transcript.
+func TestCheckpointJournalAppendsInPlace(t *testing.T) {
+	locked, oracle := sfllAdder4(t)
+	path := filepath.Join(t.TempDir(), "attack.ckpt")
+	// One record: the JSON keys and seal prefixes, the bit strings, a
+	// 20-digit call count and a 64-digit digest.
+	bound := int64(128 + 20 + 64 + len(locked.Inputs) + len(locked.Outputs))
+	var first os.FileInfo
+	var size int64
+	hook := progress.Func(func(e progress.Event) {
+		if e.Kind != progress.Step || e.Phase != "attack" {
+			return
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("DIP %d: %v", e.Done, err)
+		}
+		if first == nil {
+			first, size = fi, fi.Size()
+			return
+		}
+		if !os.SameFile(first, fi) {
+			t.Fatalf("DIP %d: checkpoint replaced after the first write", e.Done)
+		}
+		if d := fi.Size() - size; d <= 0 || d > bound {
+			t.Fatalf("DIP %d appended %d bytes, want 1..%d", e.Done, d, bound)
+		}
+		size = fi.Size()
+	})
+	res, err := Attack(progress.NewContext(context.Background(), hook), locked, oracle,
+		Options{CheckpointPath: path, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 64 {
+		t.Fatalf("attack took %d DIPs; too short to tell appends from rewrites", res.Iterations)
+	}
+	cp, err := LoadCheckpoint(path, nil)
+	if err != nil || cp.Iterations != res.Iterations {
+		t.Fatalf("final journal: %v, %+v", err, cp)
 	}
 }
 

@@ -104,18 +104,18 @@ type Options struct {
 	// majority, Votes/2+1). A bit that splits without a quorum-sized
 	// majority fails the query with ErrNoQuorum.
 	Quorum int
-	// CheckpointPath, when set, makes the attack write its oracle
-	// transcript (DIPs + answers + counters) atomically to this file, so a
-	// killed attack can be resumed bit-identically.
+	// CheckpointPath, when set, makes the attack journal its oracle
+	// transcript (DIPs, answers, oracle-call counts) to this file, so a
+	// killed attack can be resumed bit-identically. The first write
+	// creates the file atomically; later writes append.
 	CheckpointPath string
 	// CheckpointEvery is the iteration interval between checkpoint writes
 	// (default 1: every iteration).
 	CheckpointEvery int
-	// CheckpointKey, when non-nil, MACs every checkpoint write with the
-	// node key (hmac-sha256 over the canonical transcript); loading with
-	// the same key then rejects any tampered file as a mismatch. nil
-	// writes digest-only checkpoints (corruption detection without tamper
-	// evidence).
+	// CheckpointKey, when non-nil, MACs every journal line with the node
+	// key (a chained hmac-sha256); loading with the same key then rejects
+	// any tampered file as a mismatch. nil writes digest-only checkpoints
+	// (corruption detection without tamper evidence).
 	CheckpointKey []byte
 	// Resume replays a previously saved checkpoint before querying the
 	// oracle live: each re-solved DIP is asserted against the recorded one
@@ -295,8 +295,27 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		return nil, err
 	}
 
+	// The checkpoint journal seals a resumed run's replayed transcript up
+	// front, so the file its first write creates already holds every
+	// recorded DIP: replay never shrinks a checkpoint.
+	var jr *journal
+	if opts.CheckpointPath != "" {
+		cp := Checkpoint{
+			Version: CheckpointVersion, Circuit: locked.Name,
+			InputBits: len(locked.Inputs), KeyBits: len(locked.Keys),
+			Solver: solverName, CycleBreak: opts.CycleBreak,
+		}
+		if replay != nil {
+			cp.Iterations, cp.OracleCalls = replay.Iterations, replay.OracleCalls
+			cp.DIPs, cp.Answers, cp.Calls = replay.DIPs, replay.Answers, replay.Calls
+		}
+		if jr, err = newJournal(&cp, opts.CheckpointKey); err != nil {
+			return nil, err
+		}
+		defer jr.close() // every flush fsyncs, so closing can lose nothing
+	}
+
 	res := &Result{}
-	var answers [][]bool // oracle transcript, parallel to the answered DIPs
 	// End-of-attack telemetry on every return path, completed or interrupted:
 	// the miter encoder's final CNF size and the DIP count are deterministic
 	// for a given circuit, so they land in the registry's deterministic
@@ -308,8 +327,9 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		mreg.Observe("satattack_dip_iterations", float64(res.Iterations))
 	}()
 	// stopIter times one whole DIP iteration — miter solve, oracle query and
-	// constraint encoding, but not checkpoint IO. It is re-armed per
-	// iteration and safe to settle on any exit path.
+	// constraint encoding, but not checkpoint IO, which
+	// satattack_checkpoint_seconds times. It is re-armed per iteration and
+	// safe to settle on any exit path.
 	var iterTimer func()
 	stopIter := func() {
 		if iterTimer != nil {
@@ -327,27 +347,15 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		progress.End(hook, "attack", fmt.Sprintf("interrupted after %d DIPs", res.Iterations))
 		return res, interrupt.Rewrap(attackOp, cause, res)
 	}
+	// saveCheckpoint makes the journal's unsaved records durable: one write
+	// and one fsync, the first of which creates the file.
 	saveCheckpoint := func() error {
-		if opts.CheckpointPath == "" {
+		if jr == nil || jr.unsaved == 0 {
 			return nil
 		}
-		cp := &Checkpoint{
-			Version:     CheckpointVersion,
-			Circuit:     locked.Name,
-			InputBits:   len(locked.Inputs),
-			KeyBits:     len(locked.Keys),
-			Iterations:  res.Iterations,
-			OracleCalls: q.calls,
-			DIPs:        encodeBitVectors(res.DIPs),
-			Answers:     encodeBitVectors(answers),
-			Solver:      solverName,
-			CycleBreak:  opts.CycleBreak,
-		}
-		if snap := mreg.Snapshot(); !snap.Empty() {
-			cp.Metrics = &snap
-		}
+		defer mreg.Timer("satattack_checkpoint_seconds")()
 		mreg.Add("resume_checkpoints_written_total", 1)
-		return cp.Save(opts.CheckpointPath, opts.CheckpointKey)
+		return jr.flush(opts.CheckpointPath)
 	}
 	for res.Iterations < maxIter {
 		if cerr := interrupt.Check(ctx, attackOp, nil); cerr != nil {
@@ -390,6 +398,11 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 					ErrCheckpointMismatch, res.Iterations, bitsToString(dip), replay.DIPs[res.Iterations-1])
 			}
 			outs, _ = stringToBits(replay.Answers[res.Iterations-1])
+			if len(outs) != len(locked.Outputs) {
+				stopIter()
+				return nil, fmt.Errorf("%w: iteration %d recorded a %d-bit answer, circuit has %d outputs",
+					ErrCheckpointMismatch, res.Iterations, len(outs), len(locked.Outputs))
+			}
 			mreg.Add("resume_replayed_queries_total", 1)
 		} else {
 			outs, err = q.query(ctx, dip)
@@ -406,9 +419,11 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 				progress.End(hook, "attack", fmt.Sprintf("oracle failed after %d DIPs", res.Iterations))
 				return res, fmt.Errorf("satattack: oracle query (iteration %d): %w", res.Iterations, err)
 			}
+			if jr != nil {
+				jr.add(bitsToString(dip), bitsToString(outs), q.calls)
+			}
 		}
 		mreg.Add("satattack_oracle_queries_total", 1)
-		answers = append(answers, outs)
 
 		// Constrain both miter key copies and the key solver with the
 		// observed I/O behaviour.
@@ -448,10 +463,8 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	}
 	// Flush the transcript tail so the file always reflects the final state,
 	// whatever interval the writes were on.
-	if opts.CheckpointPath != "" && res.Iterations%ckEvery != 0 {
-		if err := saveCheckpoint(); err != nil {
-			return nil, err
-		}
+	if err := saveCheckpoint(); err != nil {
+		return nil, err
 	}
 	if res.Iterations >= maxIter {
 		cause := fmt.Errorf("%w (%d iterations)", ErrIterationBudget, maxIter)

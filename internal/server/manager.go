@@ -57,8 +57,8 @@ type Config struct {
 	// (default 1, so Workers jobs use about Workers cores; results are
 	// bit-identical at any setting).
 	JobParallelism int
-	// CheckpointDir, when set, makes attack jobs write their oracle
-	// transcript there (atomic, every CheckpointEvery iterations) and
+	// CheckpointDir, when set, makes attack jobs journal their oracle
+	// transcript there (appended every CheckpointEvery iterations) and
 	// resume from it when an identical request is resubmitted after a
 	// drain or crash.
 	CheckpointDir string
@@ -282,20 +282,24 @@ func (m *Manager) Submit(req Request) (Job, error) {
 		m.mu.Unlock()
 		return Job{}, ErrDraining
 	}
+	// Register and snapshot before the send: once a worker holds the job
+	// it may finish it, and the submitter must still answer "queued".
 	j := newJob(r, key, now)
+	m.inflight[key] = j
+	m.registerLocked(j, now)
+	snap := j.snapshot()
 	select {
 	case m.queue <- j:
 	default:
+		m.unregisterLocked(j)
 		m.mu.Unlock()
 		m.reg.Add("server_queue_rejected_total", 1)
 		return Job{}, ErrQueueFull
 	}
-	m.inflight[key] = j
-	m.registerLocked(j, now)
 	depth := m.queueN.Add(1)
 	m.mu.Unlock()
 	m.reg.Set("server_queue_depth", float64(depth))
-	return j.snapshot(), nil
+	return snap, nil
 }
 
 // attachLocked rides a new record on the in-flight primary; callers hold
@@ -334,6 +338,16 @@ func (m *Manager) registerLocked(j *job, now time.Time) {
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.gcLocked(now)
+}
+
+// unregisterLocked undoes registerLocked and the in-flight entry for a job
+// the queue refused; callers hold m.mu.
+func (m *Manager) unregisterLocked(j *job) {
+	delete(m.inflight, j.key)
+	delete(m.jobs, j.id)
+	m.order = m.order[:len(m.order)-1]
+	m.nextID--
+	m.reg.Set("server_jobs_retained", float64(len(m.jobs)))
 }
 
 // gcLocked drops the oldest terminal records beyond the RetainJobs count

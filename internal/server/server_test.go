@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -407,6 +408,88 @@ func TestQueueBound(t *testing.T) {
 	}
 	for _, j := range accepted {
 		m.Cancel(j.ID)
+	}
+}
+
+// TestQueueFullLeavesNoRecord: a submission the full queue refuses leaves
+// no record, no id and no in-flight entry behind.
+func TestQueueFullLeavesNoRecord(t *testing.T) {
+	m := newManager(t, Config{Workers: 1, MaxQueue: 1})
+	var accepted []Job
+	var bounced Request
+	for i := 0; i < 50; i++ {
+		req := Request{Kind: KindAttack, OperandBits: 5, Secret: uint64(0x20 + i)}
+		j, err := m.Submit(req)
+		if errors.Is(err, ErrQueueFull) {
+			bounced = req
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, j)
+	}
+	if bounced.Kind == "" {
+		t.Fatal("bounded queue never rejected")
+	}
+	if n := len(m.List()); n != len(accepted) {
+		t.Fatalf("%d records after a rejection, want the %d accepted", n, len(accepted))
+	}
+	m.mu.Lock()
+	inflight := len(m.inflight)
+	m.mu.Unlock()
+	if inflight != len(accepted) {
+		t.Fatalf("%d in-flight entries after a rejection, want %d", inflight, len(accepted))
+	}
+	for _, j := range accepted {
+		m.Cancel(j.ID)
+	}
+	// The cancelled jobs leave the queue as the worker drains it.
+	j, err := m.Submit(bounced)
+	for deadline := time.Now().Add(60 * time.Second); errors.Is(err, ErrQueueFull) && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		j, err = m.Submit(bounced)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Cancel(j.ID)
+	if want := fmt.Sprintf("j%d", len(accepted)+1); j.ID != want || j.AttachedTo != "" {
+		t.Fatalf("resubmitted job: id %s, attached to %q; want %s, unattached", j.ID, j.AttachedTo, want)
+	}
+}
+
+// TestSubmitReturnsQueuedRecord: Submit registers and snapshots a fresh
+// job before any worker can take it, so it reports the job queued, with
+// its id, however fast the job runs. The designs are memoised, so each
+// bind job takes microseconds, and the growing record list widens the
+// window a snapshot taken after the enqueue would lose.
+func TestSubmitReturnsQueuedRecord(t *testing.T) {
+	m := newManager(t, Config{Workers: 2})
+	for seed := int64(1); seed <= 5; seed++ {
+		warm := fastPrepare(KindPrepare)
+		warm.Seed = seed
+		submitWait(t, m, warm) // memoise the design
+		for _, class := range []string{"adder", "multiplier"} {
+			for _, binder := range []string{"obfuscation-aware", "area", "power", "random"} {
+				for lf := 1; lf <= 2; lf++ {
+					for mt := 1; mt <= 6; mt++ {
+						req := fastPrepare(KindBind)
+						req.Seed, req.Class, req.Binder = seed, class, binder
+						req.LockedFUs, req.MintermsPerFU = lf, mt
+						j, err := m.Submit(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if j.State != StateQueued || j.ID == "" {
+							t.Fatalf("fresh bind job (seed %d, %s, %s, %d×%d): Submit returned state %s, id %q; want queued",
+								seed, class, binder, lf, mt, j.State, j.ID)
+						}
+						waitTerminal(t, m, j.ID)
+					}
+				}
+			}
+		}
 	}
 }
 
