@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci figures bench bench-smoke vuln staticcheck cover profile fuzz chaos chaos-bindlockd clean
+.PHONY: all build test race vet fmt ci figures bench vuln staticcheck cover fuzz chaos chaos-bindlockd clean
 
 all: build
 
@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzEvalLanes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codesign -run '^$$' -fuzz FuzzSearchesMatchReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/satattack -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 
 # chaos runs the full tier-1 suite under a randomized-seed fault plan
 # (picked up by the chaos-aware tests via BINDLOCK_CHAOS_SEED). The suite
@@ -64,29 +65,11 @@ chaos-bindlockd:
 figures:
 	$(GO) run ./cmd/figures -fig all
 
-# bench times the parallel fan-outs at -j 1 vs -j N, verifies the outputs are
-# bit-identical, and records the baseline in BENCH_parallel.json with
-# per-run allocation counts (-benchmem). benchpar itself refuses a -jobs
-# above the machine's CPU count, so an oversubscribed run can never become
-# the checked-in baseline.
+# bench runs the repository benchmark (bench/, declared in BENCHMARK.json):
+# every workload, untraced then traced, built from source into .bench_build/.
+# See bench/README.md for scoping a run with --workload, --seed and --seconds.
 bench:
-	$(GO) run ./cmd/benchpar -benchmem -attack-reps 5 -o BENCH_parallel.json
-
-# bench-smoke is the CI-sized benchpar run: tiny workloads, a throwaway
-# output file, but the same determinism gates — -j 1 vs -j N fingerprints
-# must match, and every attack and solver row (sat-attack-modes,
-# cyclic-attack-modes, sat-prop-rate) must reproduce its fingerprint in the
-# checked-in BENCH_smoke_baseline.json on any hardware, or it exits 1 — plus
-# a benchstat-style throughput gate: those rows' iters/sec and props/sec
-# must stay within BENCH_REGRESS of the baseline (skipped with a warning
-# when the hardware fingerprint differs from the baseline's).
-BENCH_REGRESS ?= 0.20
-bench-smoke:
-	$(GO) run ./cmd/benchpar -samples 60 -secrets 2 -bench fir -attack-width 3 \
-		-attack-reps 7 \
-		-baseline BENCH_smoke_baseline.json -max-regress $(BENCH_REGRESS) \
-		-o bench_smoke.json
-	rm -f bench_smoke.json
+	bash bench/run.sh
 
 # vuln scans the module against the Go vulnerability database. It downloads
 # govulncheck on demand, so it needs network access; it is a CI step, not
@@ -111,16 +94,10 @@ cover:
 	awk -v t="$$total" -v min="$(METRICS_COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || \
 		{ echo "coverage $$total% is below the $(METRICS_COVER_MIN)% floor"; exit 1; }
 
-# profile runs the parallel benchmark under the pprof profilers and writes the
-# aggregated metrics snapshot next to the profiles; inspect with
-# `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
-profile:
-	$(GO) run ./cmd/benchpar -o BENCH_parallel.json -metrics metrics.json \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
-
 # clean removes build caches and every generated artifact the targets above
 # leave behind: coverage profiles, pprof profiles, metrics snapshots, attack
-# checkpoints and benchmark baselines.
+# checkpoints and the benchmark's build directory.
 clean:
 	$(GO) clean ./...
-	rm -f cover.out *.pprof metrics.json metrics.prom *.ckpt BENCH_parallel.json
+	rm -f cover.out *.pprof metrics.json metrics.prom *.ckpt
+	rm -rf .bench_build

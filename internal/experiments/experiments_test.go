@@ -71,8 +71,9 @@ func TestFig4SecurityAwareWins(t *testing.T) {
 	if h.OptimalCells == 0 {
 		t.Error("no optimal cells ran despite budget")
 	}
-	if h.HeuristicGap < 0 || h.HeuristicGap > 0.10 {
-		t.Errorf("heuristic gap = %.3f, expected within [0, 10%%]", h.HeuristicGap)
+	// The paper reports the heuristic within 0.5% of optimal.
+	if h.HeuristicGap < 0 || h.HeuristicGap > 0.005 {
+		t.Errorf("heuristic gap = %.4f, expected within [0, 0.5%%]", h.HeuristicGap)
 	}
 	t.Logf("headline: obf %.1fx, co %.1fx, gap %.2f%% over %d optimal cells",
 		h.ObfOverall, h.CoOverall, 100*h.HeuristicGap, h.OptimalCells)

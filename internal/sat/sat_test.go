@@ -326,6 +326,48 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestBudgetedRandom3SATPinned pins the default backend's search trajectory
+// on budgeted random 3-SAT near the phase transition, where unit propagation
+// dominates the work. Each seed's instance (1200 variables, 5112 clauses
+// drawn in variable-then-sign order) stops on the 20,000-conflict budget
+// after a pinned number of propagations. These instances reach restarts and
+// clause-database reduction, which the small adder attacks pinned elsewhere
+// may never do, so a change there shows up here even when their keys and
+// DIP counts hold. A deliberate search change re-pins these together with
+// the attack pins.
+func TestBudgetedRandom3SATPinned(t *testing.T) {
+	const (
+		numVars    = 1200
+		numClauses = 5112 // 4.26 clauses per variable
+		conflicts  = 20_000
+	)
+	f, err := BackendFactory(DefaultBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed, wantProps := range []int64{2_467_687, 2_460_042, 2_493_947} {
+		b := f()
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for i := 0; i < numVars; i++ {
+			b.NewVar()
+		}
+		for i := 0; i < numClauses; i++ {
+			b.AddClause(
+				NewLit(rng.Intn(numVars), rng.Intn(2) == 0),
+				NewLit(rng.Intn(numVars), rng.Intn(2) == 0),
+				NewLit(rng.Intn(numVars), rng.Intn(2) == 0))
+		}
+		b.SetMaxConflicts(conflicts)
+		if _, err := b.Solve(context.Background()); !errors.Is(err, ErrBudget) {
+			t.Fatalf("seed %d: err = %v, want ErrBudget", seed, err)
+		}
+		if st := b.Stats(); st.Conflicts != conflicts || st.Propagations != wantProps {
+			t.Errorf("seed %d: %d conflicts, %d propagations; pinned %d, %d",
+				seed, st.Conflicts, st.Propagations, conflicts, wantProps)
+		}
+	}
+}
+
 func TestSolveCancellation(t *testing.T) {
 	// A deadline mid-search must interrupt the solver promptly with partial
 	// statistics; PHP(11,10) runs far beyond the 20ms budget otherwise.

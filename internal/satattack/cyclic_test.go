@@ -69,24 +69,42 @@ func TestCycSATRecoversLatchKey(t *testing.T) {
 
 // TestCycSATRecoversCyclicAdderKeys runs the CycSAT-constrained attack on
 // cyclically locked adders (feedback cycles plus functional decoys, so the
-// DIP loop does real work) and requires every recovered key to verify.
+// DIP loop does real work) and requires every recovered key to verify. The
+// attack is deterministic, so each case also pins its recovered key bits and
+// DIP count; a deliberate change to the encoding or the search re-pins them
+// together with the root package's cycsatTranscriptPins.
 func TestCycSATRecoversCyclicAdderKeys(t *testing.T) {
-	base, err := netlist.NewAdder(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		locked, key, err := netlist.LockCyclic(base, 2, 2, seed)
+	for _, tc := range []struct {
+		width    int
+		seed     int64
+		wantKey  string
+		wantDIPs int
+	}{
+		{width: 3, seed: 1, wantKey: "1110", wantDIPs: 2},
+		{width: 3, seed: 2, wantKey: "0110", wantDIPs: 1},
+		{width: 3, seed: 3, wantKey: "0000", wantDIPs: 3},
+		{width: 3, seed: 4, wantKey: "0010", wantDIPs: 1},
+		{width: 4, seed: 1, wantKey: "0000", wantDIPs: 1},
+	} {
+		base, err := netlist.NewAdder(tc.width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locked, key, err := netlist.LockCyclic(base, 2, 2, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		oracle := OracleFromCircuit(locked, key)
 		res, err := Attack(context.Background(), locked, oracle, Options{CycleBreak: true})
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("width %d seed %d: %v", tc.width, tc.seed, err)
 		}
 		if err := VerifyKey(context.Background(), locked, res.Key, oracle); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("width %d seed %d: %v", tc.width, tc.seed, err)
+		}
+		if got := bitsToString(res.Key); got != tc.wantKey || res.Iterations != tc.wantDIPs {
+			t.Errorf("width %d seed %d: recovered key %s after %d DIPs, pinned %s after %d",
+				tc.width, tc.seed, got, res.Iterations, tc.wantKey, tc.wantDIPs)
 		}
 	}
 }

@@ -317,7 +317,10 @@ func TestJobTimeoutFailsWithPartial(t *testing.T) {
 // interrupted run produces.
 func TestDrainCheckpointsAndResumeIsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{Kind: KindAttack, OperandBits: 5, Secret: 0x1B3}
+	// 255 DIPs, the most any width-4 lock needs: the drain after 3 progress
+	// events always lands mid-attack, yet the resumed and the cold run each
+	// take well under a second.
+	req := Request{Kind: KindAttack, OperandBits: 4, Secret: 0x66}
 
 	m1, err := New(Config{Workers: 1, CheckpointDir: dir})
 	if err != nil {
@@ -717,10 +720,11 @@ func TestHTTPDrainingHealth(t *testing.T) {
 }
 
 // TestProgressRingBounded pins that a long attack cannot grow the job record
-// without bound.
+// without bound. Width 4, secret 0x55 needs 185 DIPs, one progress step
+// each: more than five times progressRingCap.
 func TestProgressRingBounded(t *testing.T) {
 	m := newManager(t, Config{Workers: 1})
-	j := submitWait(t, m, Request{Kind: KindAttack, OperandBits: 5, Secret: 0x155})
+	j := submitWait(t, m, Request{Kind: KindAttack, OperandBits: 4, Secret: 0x55})
 	if len(j.Progress) > progressRingCap {
 		t.Fatalf("progress ring holds %d entries, cap %d", len(j.Progress), progressRingCap)
 	}

@@ -173,7 +173,9 @@ func TestSingleFlightRecordFields(t *testing.T) {
 // primary.
 func TestCancelAttachedDetaches(t *testing.T) {
 	m := newManager(t, Config{Workers: 1})
-	req := Request{Kind: KindAttack, OperandBits: 5, Secret: 0x0B7}
+	// 254 DIPs: after the second progress event the primary is still
+	// hundreds of DIPs from done, so the duplicate always attaches.
+	req := Request{Kind: KindAttack, OperandBits: 4, Secret: 0x75}
 	primary, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +434,9 @@ func TestHTTPLongPoll(t *testing.T) {
 	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
 
-	j, err := m.Submit(Request{Kind: KindAttack, OperandBits: 5, Secret: 0x1EF})
+	// 253 DIPs, one progress step each: many events to stream, and the
+	// first poll always finds the job running.
+	j, err := m.Submit(Request{Kind: KindAttack, OperandBits: 4, Secret: 0xDE})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,26 +91,28 @@ func budgetedAttack(t *testing.T, ed *ElaboratedDesign, opts satattack.Options) 
 	return res, string(det)
 }
 
+// bitString renders a bit vector as a '0'/'1' string, index 0 first.
+func bitString(v []bool) string {
+	var b strings.Builder
+	for _, x := range v {
+		if x {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+	}
+	return b.String()
+}
+
 // transcriptDigest hashes everything an attack run must reproduce — the
 // iteration count, the key bits, the DIP transcript and the Deterministic()
 // metrics JSON — into one hex sha256, so a pinned digest catches any change
 // to the search, the encoding or the solver's deterministic counters.
 func transcriptDigest(res *satattack.Result, det string) string {
-	bits := func(v []bool) string {
-		var b strings.Builder
-		for _, x := range v {
-			if x {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		return b.String()
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "iterations %d\nkey %s\n", res.Iterations, bits(res.Key))
+	fmt.Fprintf(h, "iterations %d\nkey %s\n", res.Iterations, bitString(res.Key))
 	for _, d := range res.DIPs {
-		fmt.Fprintf(h, "dip %s\n", bits(d))
+		fmt.Fprintf(h, "dip %s\n", bitString(d))
 	}
 	fmt.Fprintf(h, "metrics %s\n", det)
 	return hex.EncodeToString(h.Sum(nil))
