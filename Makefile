@@ -27,18 +27,20 @@ ci: fmt vet build race fuzz
 
 # fuzz gives each native fuzz target a short budget — enough to shake out
 # parser regressions on every CI run; longer campaigns run the same targets
-# with a bigger -fuzztime by hand.
+# with a bigger -fuzztime by hand. Minimizing a new input is capped at 1000
+# executions: go test's default of 60 s would let a target that finds one
+# late spend the rest of its budget minimizing, executing nothing credited.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sat -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sat -run '^$$' -fuzz FuzzSolveAssuming -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzCycleConstraints -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzEvalLanes -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/codesign -run '^$$' -fuzz FuzzSearchesMatchReference -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/satattack -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/sat -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/sat -run '^$$' -fuzz FuzzSolveAssuming -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzFingerprint -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzCycleConstraints -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzEvalLanes -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/codesign -run '^$$' -fuzz FuzzSearchesMatchReference -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/satattack -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x
 
 # chaos runs the full tier-1 suite under a randomized-seed fault plan
 # (picked up by the chaos-aware tests via BINDLOCK_CHAOS_SEED). The suite

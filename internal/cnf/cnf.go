@@ -21,6 +21,17 @@ type Encoder struct {
 	varTrue  int
 	varFalse int
 	haveK    bool
+
+	lits []sat.Lit // scratch clause handed to S.AddClause; see add
+}
+
+// add sends one clause to the backend through the encoder's scratch slice.
+// A variadic call through the sat.Backend interface would heap-allocate a
+// new literal list for every clause; Backend.AddClause does not retain its
+// argument, so one slice serves them all.
+func (e *Encoder) add(lits ...sat.Lit) {
+	e.lits = append(e.lits[:0], lits...)
+	e.S.AddClause(e.lits...)
 }
 
 // NewEncoder returns an encoder over a fresh solver of the default backend.
@@ -46,8 +57,8 @@ func (e *Encoder) ConstVar(v bool) int {
 	if !e.haveK {
 		e.varTrue = e.S.NewVar()
 		e.varFalse = e.S.NewVar()
-		e.S.AddClause(sat.NewLit(e.varTrue, false))
-		e.S.AddClause(sat.NewLit(e.varFalse, true))
+		e.add(sat.NewLit(e.varTrue, false))
+		e.add(sat.NewLit(e.varFalse, true))
 		e.haveK = true
 	}
 	if v {
@@ -129,8 +140,8 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 	// feedback variable.
 	bindPinned := func(id int) {
 		if pv, ok := pinned[id]; ok && pv != gateVar[id] {
-			s.AddClause(neg(pv), pos(gateVar[id]))
-			s.AddClause(pos(pv), neg(gateVar[id]))
+			e.add(neg(pv), pos(gateVar[id]))
+			e.add(pos(pv), neg(gateVar[id]))
 		}
 	}
 
@@ -166,36 +177,36 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 		a := fanin(g.A, id)
 		switch g.Kind {
 		case netlist.GNot:
-			s.AddClause(pos(y), pos(a))
-			s.AddClause(neg(y), neg(a))
+			e.add(pos(y), pos(a))
+			e.add(neg(y), neg(a))
 		case netlist.GAnd, netlist.GNand:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GNand {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yn, pos(a))
-			s.AddClause(yn, pos(b))
-			s.AddClause(yp, neg(a), neg(b))
+			e.add(yn, pos(a))
+			e.add(yn, pos(b))
+			e.add(yp, neg(a), neg(b))
 		case netlist.GOr, netlist.GNor:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GNor {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yp, neg(a))
-			s.AddClause(yp, neg(b))
-			s.AddClause(yn, pos(a), pos(b))
+			e.add(yp, neg(a))
+			e.add(yp, neg(b))
+			e.add(yn, pos(a), pos(b))
 		case netlist.GXor, netlist.GXnor:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GXnor {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yn, pos(a), pos(b))
-			s.AddClause(yn, neg(a), neg(b))
-			s.AddClause(yp, pos(a), neg(b))
-			s.AddClause(yp, neg(a), pos(b))
+			e.add(yn, pos(a), pos(b))
+			e.add(yn, neg(a), neg(b))
+			e.add(yp, pos(a), neg(b))
+			e.add(yp, neg(a), pos(b))
 		default:
 			return nil, fmt.Errorf("cnf: unsupported gate kind %v", g.Kind)
 		}
@@ -290,8 +301,8 @@ func (e *Encoder) EncodeShared(c *netlist.Circuit, prev *Instance) (*Instance, e
 	}
 	bindPinned := func(id int) {
 		if pv, ok := pinned[id]; ok && pv != gateVar[id] {
-			s.AddClause(neg(pv), pos(gateVar[id]))
-			s.AddClause(pos(pv), neg(gateVar[id]))
+			e.add(neg(pv), pos(gateVar[id]))
+			e.add(pos(pv), neg(gateVar[id]))
 		}
 	}
 
@@ -327,36 +338,36 @@ func (e *Encoder) EncodeShared(c *netlist.Circuit, prev *Instance) (*Instance, e
 		a := fanin(g.A, id)
 		switch g.Kind {
 		case netlist.GNot:
-			s.AddClause(pos(y), pos(a))
-			s.AddClause(neg(y), neg(a))
+			e.add(pos(y), pos(a))
+			e.add(neg(y), neg(a))
 		case netlist.GAnd, netlist.GNand:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GNand {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yn, pos(a))
-			s.AddClause(yn, pos(b))
-			s.AddClause(yp, neg(a), neg(b))
+			e.add(yn, pos(a))
+			e.add(yn, pos(b))
+			e.add(yp, neg(a), neg(b))
 		case netlist.GOr, netlist.GNor:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GNor {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yp, neg(a))
-			s.AddClause(yp, neg(b))
-			s.AddClause(yn, pos(a), pos(b))
+			e.add(yp, neg(a))
+			e.add(yp, neg(b))
+			e.add(yn, pos(a), pos(b))
 		case netlist.GXor, netlist.GXnor:
 			b := fanin(g.B, id)
 			yp, yn := pos(y), neg(y)
 			if g.Kind == netlist.GXnor {
 				yp, yn = yn, yp
 			}
-			s.AddClause(yn, pos(a), pos(b))
-			s.AddClause(yn, neg(a), neg(b))
-			s.AddClause(yp, pos(a), neg(b))
-			s.AddClause(yp, neg(a), pos(b))
+			e.add(yn, pos(a), pos(b))
+			e.add(yn, neg(a), neg(b))
+			e.add(yp, pos(a), neg(b))
+			e.add(yp, neg(a), pos(b))
 		default:
 			return nil, fmt.Errorf("cnf: unsupported gate kind %v", g.Kind)
 		}
@@ -375,17 +386,16 @@ func (e *Encoder) EncodeShared(c *netlist.Circuit, prev *Instance) (*Instance, e
 
 // FixVar pins an existing solver variable to a constant.
 func (e *Encoder) FixVar(v int, val bool) {
-	e.S.AddClause(sat.NewLit(v, !val))
+	e.add(sat.NewLit(v, !val))
 }
 
 // XorVar returns a fresh variable constrained to a XOR b.
 func (e *Encoder) XorVar(a, b int) int {
-	s := e.S
-	y := s.NewVar()
-	s.AddClause(sat.NewLit(y, true), sat.NewLit(a, false), sat.NewLit(b, false))
-	s.AddClause(sat.NewLit(y, true), sat.NewLit(a, true), sat.NewLit(b, true))
-	s.AddClause(sat.NewLit(y, false), sat.NewLit(a, false), sat.NewLit(b, true))
-	s.AddClause(sat.NewLit(y, false), sat.NewLit(a, true), sat.NewLit(b, false))
+	y := e.S.NewVar()
+	e.add(sat.NewLit(y, true), sat.NewLit(a, false), sat.NewLit(b, false))
+	e.add(sat.NewLit(y, true), sat.NewLit(a, true), sat.NewLit(b, true))
+	e.add(sat.NewLit(y, false), sat.NewLit(a, false), sat.NewLit(b, true))
+	e.add(sat.NewLit(y, false), sat.NewLit(a, true), sat.NewLit(b, false))
 	return y
 }
 
@@ -397,26 +407,26 @@ func (e *Encoder) XorVar(a, b int) int {
 // them can only shrink the search.
 func (e *Encoder) CycleClauses(keyVars []int, clauses []netlist.CycleClause) error {
 	for _, cl := range clauses {
-		lits := make([]sat.Lit, 0, len(cl))
+		e.lits = e.lits[:0]
 		for _, kl := range cl {
 			if kl.Key < 0 || kl.Key >= len(keyVars) {
 				return fmt.Errorf("cnf: cycle clause key index %d outside %d-bit key bus",
 					kl.Key, len(keyVars))
 			}
-			lits = append(lits, sat.NewLit(keyVars[kl.Key], !kl.Val))
+			e.lits = append(e.lits, sat.NewLit(keyVars[kl.Key], !kl.Val))
 		}
-		e.S.AddClause(lits...)
+		e.S.AddClause(e.lits...)
 	}
 	return nil
 }
 
 // AtLeastOne adds a clause requiring one of the variables to be true.
 func (e *Encoder) AtLeastOne(vars []int) {
-	lits := make([]sat.Lit, len(vars))
-	for i, v := range vars {
-		lits[i] = sat.NewLit(v, false)
+	e.lits = e.lits[:0]
+	for _, v := range vars {
+		e.lits = append(e.lits, sat.NewLit(v, false))
 	}
-	e.S.AddClause(lits...)
+	e.S.AddClause(e.lits...)
 }
 
 // GuardedAtLeastOne allocates a fresh guard variable g and adds the clause
@@ -427,11 +437,10 @@ func (e *Encoder) AtLeastOne(vars []int) {
 // finding and plain consistency checks.
 func (e *Encoder) GuardedAtLeastOne(vars []int) int {
 	g := e.S.NewVar()
-	lits := make([]sat.Lit, 0, len(vars)+1)
-	lits = append(lits, sat.NewLit(g, true))
+	e.lits = append(e.lits[:0], sat.NewLit(g, true))
 	for _, v := range vars {
-		lits = append(lits, sat.NewLit(v, false))
+		e.lits = append(e.lits, sat.NewLit(v, false))
 	}
-	e.S.AddClause(lits...)
+	e.S.AddClause(e.lits...)
 	return g
 }

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"testing"
 )
 
@@ -46,5 +47,30 @@ func TestPropagateSteadyStateAllocs(t *testing.T) {
 	cycle()
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("decide/propagate/backtrack cycle allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestWarmResolveAllocs pins that a satisfiable re-solve of an unchanged
+// formula allocates nothing: the model goes into the solver's reused
+// buffer, and the cancellation checks snapshot Stats only once the context
+// is done. The attack loop re-solves its miter once per DIP.
+func TestWarmResolveAllocs(t *testing.T) {
+	s := NewSolver()
+	const n = 128
+	for i := 0; i < n; i++ {
+		s.NewVar()
+	}
+	for i := 0; i+1 < n; i++ {
+		s.AddClause(NewLit(i, true), NewLit(i+1, false))
+	}
+	ctx := context.Background()
+	solve := func() {
+		if ok, err := s.Solve(ctx); !ok || err != nil {
+			t.Fatalf("Solve = %v, %v; want true, nil", ok, err)
+		}
+	}
+	solve()
+	if avg := testing.AllocsPerRun(100, solve); avg != 0 {
+		t.Errorf("warm satisfiable re-solve allocates %.1f times per run, want 0", avg)
 	}
 }

@@ -28,7 +28,8 @@ type Backend interface {
 	// AddClause adds a clause at the top level (between solve calls). It
 	// returns false if the formula became trivially unsatisfiable. A literal
 	// over an unallocated variable records a sticky error surfaced by the
-	// next solve call (see Err).
+	// next solve call (see Err). It does not retain lits, so callers may
+	// reuse one slice for every clause.
 	AddClause(lits ...Lit) bool
 	// Solve searches for a model of the clause set.
 	Solve(ctx context.Context) (bool, error)
@@ -44,7 +45,9 @@ type Backend interface {
 	// the assumptions were passed; nil after any other outcome.
 	FailedAssumptions() []Lit
 	// Value returns variable v's value in the most recent model; it may
-	// panic without one. ValueErr is the non-panicking boundary form.
+	// panic without one. ValueErr is the non-panicking boundary form. A
+	// model lasts until the next NewVar, AddClause or solve call, and only
+	// a solve call that returns true makes a new one.
 	Value(v int) bool
 	ValueErr(v int) (bool, error)
 	// Err returns the sticky boundary error recorded by AddClause, or nil.

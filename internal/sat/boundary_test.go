@@ -34,25 +34,56 @@ func TestAddClauseUnknownVariable(t *testing.T) {
 	}
 }
 
+// TestValueErr runs every registered backend through the model's
+// lifetime: ErrNoModel before the first solve, the model after a
+// satisfiable one, ErrUnknownVariable outside it, and ErrNoModel again once
+// a NewVar, an AddClause or a solve that does not return true has made the
+// model stale.
 func TestValueErr(t *testing.T) {
-	s := NewSolver()
-	v := s.NewVar()
-	if _, err := s.ValueErr(v); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("pre-solve ValueErr err = %v, want ErrNoModel", err)
-	}
-	s.AddClause(NewLit(v, false))
-	if ok, err := s.Solve(context.Background()); !ok || err != nil {
-		t.Fatalf("Solve = %v, %v", ok, err)
-	}
-	got, err := s.ValueErr(v)
-	if err != nil || !got {
-		t.Errorf("ValueErr(%d) = %v, %v; want true, nil", v, got, err)
-	}
-	if _, err := s.ValueErr(99); !errors.Is(err, ErrUnknownVariable) {
-		t.Errorf("out-of-range ValueErr err = %v, want ErrUnknownVariable", err)
-	}
-	if _, err := s.ValueErr(-1); !errors.Is(err, ErrUnknownVariable) {
-		t.Errorf("negative ValueErr err = %v, want ErrUnknownVariable", err)
+	ctx := context.Background()
+	for _, name := range Backends() {
+		for _, tc := range []struct {
+			name  string
+			stale func(b Backend, v int) // v is the variable the model holds
+		}{
+			{"NewVar", func(b Backend, v int) { b.NewVar() }},
+			{"AddClause", func(b Backend, v int) { b.AddClause(NewLit(v, false), NewLit(v, true)) }},
+			{"unsat solve", func(b Backend, v int) {
+				if ok, err := b.SolveAssuming(ctx, NewLit(v, true)); ok || err != nil {
+					t.Fatalf("SolveAssuming(-v) = %v, %v; want false, nil", ok, err)
+				}
+			}},
+		} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				b, err := NewBackend(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := b.NewVar()
+				if _, err := b.ValueErr(v); !errors.Is(err, ErrNoModel) {
+					t.Fatalf("pre-solve ValueErr err = %v, want ErrNoModel", err)
+				}
+				b.AddClause(NewLit(v, false))
+				if ok, err := b.Solve(ctx); !ok || err != nil {
+					t.Fatalf("Solve = %v, %v", ok, err)
+				}
+				if got, err := b.ValueErr(v); err != nil || !got {
+					t.Errorf("ValueErr(%d) = %v, %v; want true, nil", v, got, err)
+				}
+				if _, err := b.ValueErr(99); !errors.Is(err, ErrUnknownVariable) {
+					t.Errorf("out-of-range ValueErr err = %v, want ErrUnknownVariable", err)
+				}
+				if _, err := b.ValueErr(-1); !errors.Is(err, ErrUnknownVariable) {
+					t.Errorf("negative ValueErr err = %v, want ErrUnknownVariable", err)
+				}
+				tc.stale(b, v)
+				for w := 0; w < b.NumVars(); w++ {
+					if got, err := b.ValueErr(w); !errors.Is(err, ErrNoModel) {
+						t.Errorf("stale ValueErr(%d) = %v, %v; want ErrNoModel", w, got, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -55,6 +55,7 @@ func NewDPLL() *DPLL {
 func (d *DPLL) NewVar() int {
 	v := d.nvars
 	d.nvars++
+	d.model = nil
 	return v
 }
 
@@ -80,6 +81,7 @@ func (d *DPLL) Err() error { return d.err }
 // the error), an empty clause marks the formula unsatisfiable, and the
 // return value reports whether the formula is still possibly satisfiable.
 func (d *DPLL) AddClause(lits ...Lit) bool {
+	d.model = nil
 	if d.err != nil {
 		return true
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bindlock/internal/fault"
@@ -79,8 +80,9 @@ var ErrBudget = errors.New("sat: conflict budget exhausted")
 // solver's allocated range at an exported entry point (AddClause, ValueErr).
 var ErrUnknownVariable = errors.New("sat: unknown variable")
 
-// ErrNoModel is returned by ValueErr when no satisfying model is available
-// (Solve has not returned true since the last clause was added).
+// ErrNoModel is returned by ValueErr when no satisfying model is available:
+// no solve call has returned true since the last NewVar or AddClause call,
+// or the most recent solve call did not return true.
 var ErrNoModel = errors.New("sat: no model available")
 
 // ClauseRef is a packed reference to a clause: the offset of its header word
@@ -126,7 +128,7 @@ type Solver struct {
 
 	watches [][]watcher // per literal: watchers of clauses watching it
 
-	assign   []int8      // per var
+	value    []int8      // per literal: lTrue, lFalse or lUndef
 	level    []int32     // per var: decision level of assignment
 	reason   []ClauseRef // per var: clause that implied it, or refUndef
 	polarity []bool      // per var: saved phase (last assigned sign)
@@ -154,7 +156,8 @@ type Solver struct {
 	Propagations int64
 	Restarts     int64
 
-	model     []bool
+	model     []bool // reused across solves; meaningful only while haveModel
+	haveModel bool   // the last solve returned true and nothing was added since
 	seen      []bool // scratch for conflict analysis
 	learntBuf []Lit  // scratch for analyze (attached clauses are arena copies)
 	clauseBuf []Lit  // scratch for AddClause simplification
@@ -171,7 +174,7 @@ func NewSolver() *Solver {
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of clauses attached so far — problem plus
 // learned, including clauses since deleted by reduceDB (the count only grows).
@@ -179,8 +182,9 @@ func (s *Solver) NumClauses() int { return s.clauseCount }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
+	v := len(s.level)
+	s.haveModel = false
+	s.value = append(s.value, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, refUndef)
 	s.polarity = append(s.polarity, false)
@@ -205,16 +209,9 @@ func (s *Solver) setClauseAct(ref ClauseRef, act float32) {
 	s.arena[ref+1] = Lit(math.Float32bits(act))
 }
 
-func (s *Solver) valueLit(l Lit) int8 {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Sign() {
-		return -v
-	}
-	return v
-}
+// valueLit is one load: value holds both polarities of every variable, so
+// the propagation hot loop never branches on a literal's sign.
+func (s *Solver) valueLit(l Lit) int8 { return s.value[l] }
 
 // decisionLevel returns the current decision level.
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
@@ -229,11 +226,7 @@ func (s *Solver) enqueue(l Lit, from ClauseRef) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.value[l], s.value[l.Neg()] = lTrue, lFalse
 	s.polarity[v] = l.Sign()
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
@@ -250,6 +243,7 @@ func (s *Solver) enqueue(l Lit, from ClauseRef) bool {
 // AddClause during search remains a panic; that is an internal-invariant
 // violation only solver-embedding code can commit.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	s.haveModel = false
 	if s.err != nil {
 		return true // poisoned: clause dropped, Solve surfaces the error
 	}
@@ -402,8 +396,9 @@ func (s *Solver) cancelUntil(lvl int32) {
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := s.trail[i].Var()
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.value[l], s.value[l.Neg()] = lUndef, lUndef
 		s.reason[v] = refUndef
 		s.heap.push(v)
 	}
@@ -515,8 +510,8 @@ func (s *Solver) bumpClause(ref ClauseRef) {
 // locked reports whether the clause is the reason of a current assignment
 // and therefore must not be deleted.
 func (s *Solver) locked(ref ClauseRef) bool {
-	v := s.clauseLits(ref)[0].Var()
-	return s.assign[v] != lUndef && s.reason[v] == ref
+	l := s.clauseLits(ref)[0]
+	return s.value[l] != lUndef && s.reason[l.Var()] == ref
 }
 
 // reduceDB deletes roughly half of the live learned clauses, lowest activity
@@ -608,11 +603,20 @@ func reduceOrder(cands []reduceCand) {
 	})
 }
 
-// pickBranch selects the unassigned variable with highest activity.
+// pickBranch selects the unassigned variable with highest activity, or
+// returns -1 when every variable is assigned. In that case every heap entry
+// is stale, and popping them one by one (a full sift-down each) would only
+// empty the heap: reset reaches the same empty heap in one pass. Every
+// satisfiable solve ends here; on a width-4 SFLL attack's miter that is
+// about 2,000 stale entries per DIP.
 func (s *Solver) pickBranch() int {
+	if len(s.trail) == s.NumVars() {
+		s.heap.reset()
+		return -1
+	}
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.assign[v] == lUndef {
+		if s.value[NewLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -660,6 +664,15 @@ func (s *Solver) SetMaxConflicts(n int64) { s.MaxConflicts = n }
 // well under the ~100ms promptness target.
 const ctxCheckInterval = 2048
 
+// checkCtx is interrupt.Check for the solve loop. It snapshots the Stats
+// partial result only once ctx is done, so a live check allocates nothing.
+func (s *Solver) checkCtx(ctx context.Context) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return interrupt.FromContext("sat: solve", cerr, s.Stats())
+	}
+	return nil
+}
+
 // Solve searches for a satisfying assignment. It returns (true, nil) with a
 // model available via Value, (false, nil) if the formula is unsatisfiable,
 // or (false, err) when interrupted: err wraps interrupt.ErrBudgetExceeded
@@ -687,6 +700,7 @@ func (s *Solver) SolveAssuming(ctx context.Context, assumps ...Lit) (bool, error
 		ctx = context.Background()
 	}
 	s.failed = nil
+	s.haveModel = false
 	if m := metrics.FromContext(ctx); m != nil {
 		// Solver counters are cumulative across Solve calls on a reused
 		// solver (the attack loop re-solves one growing formula), so the
@@ -740,7 +754,7 @@ func (s *Solver) SolveAssuming(ctx context.Context, assumps ...Lit) (bool, error
 	sinceCheck := 0
 
 	for {
-		if err := interrupt.Check(ctx, "sat: solve", s.Stats()); err != nil {
+		if err := s.checkCtx(ctx); err != nil {
 			return false, err
 		}
 		progress.Emit(hook, progress.Event{
@@ -754,7 +768,7 @@ func (s *Solver) SolveAssuming(ctx context.Context, assumps ...Lit) (bool, error
 		for {
 			if sinceCheck++; sinceCheck >= ctxCheckInterval {
 				sinceCheck = 0
-				if err := interrupt.Check(ctx, "sat: solve", s.Stats()); err != nil {
+				if err := s.checkCtx(ctx); err != nil {
 					return false, err
 				}
 			}
@@ -814,11 +828,14 @@ func (s *Solver) SolveAssuming(ctx context.Context, assumps ...Lit) (bool, error
 			if next == LitUndef {
 				v := s.pickBranch()
 				if v == -1 {
-					// All variables assigned: SAT.
-					s.model = make([]bool, s.NumVars())
-					for i, a := range s.assign {
-						s.model[i] = a == lTrue
+					// All variables assigned: SAT. The model buffer is
+					// reused, growing only with the variable count.
+					n := s.NumVars()
+					s.model = slices.Grow(s.model[:0], n)[:n]
+					for i := range s.model {
+						s.model[i] = s.value[NewLit(i, false)] == lTrue
 					}
+					s.haveModel = true
 					return true, nil
 				}
 				s.Decisions++
@@ -882,7 +899,7 @@ func (s *Solver) FailedAssumptions() []Lit { return s.failed }
 // model is available; hot loops that have just seen Solve return true may use
 // it unconditionally. Boundary code should prefer ValueErr.
 func (s *Solver) Value(v int) bool {
-	if s.model == nil {
+	if !s.haveModel {
 		panic("sat: Value called without a model")
 	}
 	return s.model[v]
@@ -892,7 +909,7 @@ func (s *Solver) Value(v int) bool {
 // returns ErrNoModel when no model is available and ErrUnknownVariable when
 // v is out of range.
 func (s *Solver) ValueErr(v int) (bool, error) {
-	if s.model == nil {
+	if !s.haveModel {
 		return false, ErrNoModel
 	}
 	if v < 0 || v >= len(s.model) {
@@ -904,7 +921,10 @@ func (s *Solver) ValueErr(v int) (bool, error) {
 // Err returns the sticky boundary error recorded by AddClause, or nil.
 func (s *Solver) Err() error { return s.err }
 
-// varHeap is an indexed max-heap over variable activities.
+// varHeap is an indexed max-heap over variable activities. Equal
+// activities are ordered by array position alone, so the exact sequence of
+// pushes, pops and sifts is part of the decision order: every pinned
+// transcript depends on it.
 type varHeap struct {
 	act  *[]float64
 	heap []int
@@ -913,43 +933,47 @@ type varHeap struct {
 
 func newVarHeap(act *[]float64) *varHeap { return &varHeap{act: act} }
 
-func (h *varHeap) less(i, j int) bool {
-	return (*h.act)[h.heap[i]] > (*h.act)[h.heap[j]]
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
+// up and down sift with a moving hole: the sifted variable is held aside,
+// each entry it passes moves one level, and it is written once where it
+// stops. They make the comparisons pairwise swaps would make and leave the
+// same array.
 func (h *varHeap) up(i int) {
+	act := *h.act
+	v := h.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !(act[v] > act[h.heap[parent]]) {
 			break
 		}
-		h.swap(i, parent)
+		h.heap[i] = h.heap[parent]
+		h.pos[h.heap[i]] = i
 		i = parent
 	}
+	h.heap[i] = v
+	h.pos[v] = i
 }
 
 func (h *varHeap) down(i int) {
+	act := *h.act
+	v := h.heap[i]
+	n := len(h.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h.heap) && h.less(l, best) {
-			best = l
+		child, best := -1, act[v]
+		if l := 2*i + 1; l < n && act[h.heap[l]] > best {
+			child, best = l, act[h.heap[l]]
 		}
-		if r < len(h.heap) && h.less(r, best) {
-			best = r
+		if r := 2*i + 2; r < n && act[h.heap[r]] > best {
+			child = r
 		}
-		if best == i {
-			return
+		if child < 0 {
+			break
 		}
-		h.swap(i, best)
-		i = best
+		h.heap[i] = h.heap[child]
+		h.pos[h.heap[i]] = i
+		i = child
 	}
+	h.heap[i] = v
+	h.pos[v] = i
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
@@ -968,13 +992,22 @@ func (h *varHeap) push(v int) {
 
 func (h *varHeap) pop() int {
 	v := h.heap[0]
-	h.swap(0, len(h.heap)-1)
-	h.heap = h.heap[:len(h.heap)-1]
+	last := len(h.heap) - 1
+	h.heap[0] = h.heap[last]
+	h.heap = h.heap[:last]
 	h.pos[v] = -1
-	if len(h.heap) > 0 {
+	if last > 0 {
 		h.down(0)
 	}
 	return v
+}
+
+// reset empties the heap in one pass.
+func (h *varHeap) reset() {
+	for _, v := range h.heap {
+		h.pos[v] = -1
+	}
+	h.heap = h.heap[:0]
 }
 
 func (h *varHeap) update(v int) {
