@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci figures bench vuln staticcheck cover fuzz chaos chaos-bindlockd clean
+.PHONY: all build test race vet fmt ci figures golden bench vuln staticcheck cover fuzz chaos chaos-bindlockd clean
 
 all: build
 
@@ -66,6 +66,13 @@ chaos-bindlockd:
 
 figures:
 	$(GO) run ./cmd/figures -fig all
+
+# golden re-records the testdata of TestFiguresGolden (internal/experiments)
+# from the current code: the full reproduction at seeds 1 and 7, on amd64.
+# Run it only for a deliberate change to a figure, and name the re-pin in
+# CHANGES.md.
+golden:
+	$(GO) test ./internal/experiments -run '^TestFiguresGolden$$' -count=1 -update
 
 # bench runs the repository benchmark (bench/, declared in BENCHMARK.json):
 # every workload, untraced then traced, built from source into .bench_build/.

@@ -24,26 +24,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"bindlock/internal/cli"
-	"bindlock/internal/dfg"
 	"bindlock/internal/experiments"
 	"bindlock/internal/parallel"
 	"bindlock/internal/progress"
 )
-
-// experimentClass maps a CLI class name onto a dfg.Class.
-func experimentClass(name string) dfg.Class {
-	if name == "multiplier" {
-		return dfg.ClassMul
-	}
-	return dfg.ClassAdd
-}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, corruption, scan, resilience, eps, stability or all")
@@ -68,14 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(cli.ExitFailure)
 	}
-	// fail routes every error exit through the telemetry flush so partial
-	// metrics survive, with the interrupted-vs-failed exit code derived from
-	// the error.
-	fail := func(prefix string, err error) {
-		fmt.Fprintf(os.Stderr, "figures: %s%v\n", prefix, err)
-		tel.Exit(cli.ExitCode(err))
-	}
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -100,128 +80,12 @@ func main() {
 		cfg.Benchmarks = strings.Split(*benches, ",")
 	}
 
-	writeCSV := func(name string, f func(io.Writer) error) {
-		if *csvDir == "" {
-			return
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		file, err := os.Create(path)
-		if err != nil {
-			fail("csv "+name+": ", err)
-		}
-		defer file.Close()
-		if err := f(file); err != nil {
-			fail("csv "+name+": ", err)
-		}
-		fmt.Printf("[wrote %s]\n", path)
-	}
-
-	run := func(name string, f func() error) {
-		start := time.Now()
-		if err := f(); err != nil {
-			fail(name+": ", err)
-		}
-		fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	needSweep := *fig == "4" || *fig == "5" || *fig == "all"
-	var suite *experiments.Suite
-	var sweep *experiments.Fig4Data
-	if needSweep || *fig == "6" || *fig == "corruption" {
-		suite, err = experiments.NewSuite(ctx, cfg)
-		if err != nil {
-			fail("", err)
-		}
-	}
-	if needSweep {
-		run("sweep", func() error {
-			var err error
-			sweep, err = suite.Fig4(ctx)
-			return err
-		})
-	}
-
-	if *fig == "4" || *fig == "all" {
-		experiments.RenderFig4(os.Stdout, sweep)
-		writeCSV("fig4", sweep.WriteFig4CSV)
-		fmt.Println()
-	}
-	if *fig == "5" || *fig == "all" {
-		f5 := experiments.Fig5From(sweep)
-		experiments.RenderFig5(os.Stdout, f5)
-		writeCSV("fig5", f5.WriteFig5CSV)
-		fmt.Println()
-	}
-	if *fig == "6" || *fig == "all" {
-		run("figure 6", func() error {
-			d, err := suite.Fig6(ctx)
-			if err != nil {
-				return err
-			}
-			experiments.RenderFig6(os.Stdout, d)
-			writeCSV("fig6", d.WriteFig6CSV)
-			return nil
-		})
-	}
-	if *fig == "corruption" || *fig == "all" {
-		run("corruption", func() error {
-			rows, err := suite.OutputCorruption(ctx)
-			if err != nil {
-				return err
-			}
-			experiments.RenderCorruption(os.Stdout, rows)
-			writeCSV("corruption", func(w io.Writer) error {
-				return experiments.WriteCorruptionCSV(w, rows)
-			})
-			return nil
-		})
-	}
-	if *fig == "scan" || *fig == "all" {
-		run("scan access", func() error {
-			rows, err := experiments.ScanSweep(ctx, []experiments.ScanSpec{
-				{Bench: "jdmerge1", Class: experimentClass("multiplier")},
-				{Bench: "fir", Class: experimentClass("adder")},
-				{Bench: "dct", Class: experimentClass("adder")},
-			}, 12, *samples, *seed)
-			if err != nil {
-				return err
-			}
-			experiments.RenderScan(os.Stdout, rows)
-			return nil
-		})
-	}
-	if *fig == "resilience" || *fig == "all" {
-		run("resilience", func() error {
-			rows, err := experiments.Resilience(ctx, []int{2, 3, 4}, *secrets, *seed)
-			if err != nil {
-				return err
-			}
-			experiments.RenderResilience(os.Stdout, rows)
-			writeCSV("resilience", func(w io.Writer) error {
-				return experiments.WriteResilienceCSV(w, rows)
-			})
-			return nil
-		})
-	}
-	if *fig == "stability" || *fig == "all" {
-		run("seed stability", func() error {
-			s, err := experiments.SeedStability(ctx, cfg, []int64{1, 2, 3, 4, 5})
-			if err != nil {
-				return err
-			}
-			experiments.RenderStability(os.Stdout, s)
-			return nil
-		})
-	}
-	if *fig == "eps" || *fig == "all" {
-		run("epsilon sweep", func() error {
-			rows, err := experiments.EpsilonSweep(ctx, []int{0, 1, 2}, *secrets, *seed)
-			if err != nil {
-				return err
-			}
-			experiments.RenderEpsilonSweep(os.Stdout, rows)
-			return nil
-		})
+	// Every error exit goes through the telemetry flush so partial metrics
+	// survive, with the interrupted-vs-failed exit code derived from the
+	// error.
+	if err := experiments.Regenerate(ctx, os.Stdout, cfg, *fig, *secrets, *csvDir); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		tel.Exit(cli.ExitCode(err))
 	}
 	tel.Exit(cli.ExitOK)
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"bindlock/internal/binding"
@@ -104,23 +105,14 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Suite{Cfg: cfg}
-	names := cfg.Benchmarks
-	if names == nil {
-		for _, b := range mediabench.All() {
-			names = append(names, b.Name)
-		}
-	}
+	names := cfg.benchmarkNames()
 	hook := progress.FromContext(ctx)
 	progress.Start(hook, "prepare", fmt.Sprintf("%d benchmarks", len(names)))
 	// One task per benchmark; each preparation is independent and results
 	// land in name order, so the suite is identical at any worker count.
 	var ticks atomic.Int64
 	preps, _, err := parallel.Map(ctx, cfg.Parallelism, len(names), func(tctx context.Context, i int) (*mediabench.Prepared, error) {
-		b, err := mediabench.ByName(names[i])
-		if err != nil {
-			return nil, err
-		}
-		p, err := b.Prepare(parallel.Sequential(tctx), cfg.NumFUs, cfg.Samples, cfg.Seed)
+		p, err := cfg.prepare(parallel.Sequential(tctx), names[i])
 		if err != nil {
 			return nil, err
 		}
@@ -135,8 +127,42 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	return s, nil
 }
 
+// benchmarkNames lists the selected benchmarks: Benchmarks, or all 11.
+func (c Config) benchmarkNames() []string {
+	if c.Benchmarks != nil {
+		return c.Benchmarks
+	}
+	var names []string
+	for _, b := range mediabench.All() {
+		names = append(names, b.Name)
+	}
+	return names
+}
+
+// prepare compiles, schedules and simulates one benchmark under c, which
+// must have its defaults applied.
+func (c Config) prepare(ctx context.Context, name string) (*mediabench.Prepared, error) {
+	b, err := mediabench.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return b.Prepare(ctx, c.NumFUs, c.Samples, c.Seed)
+}
+
 // Prepared exposes the cached benchmark preparations.
 func (s *Suite) Prepared() []*mediabench.Prepared { return s.preps }
+
+// largestFirst returns the task indices [0, n) ordered by size, largest
+// first and ties in index order: the dispatch order of a fan-out whose task
+// sizes are known before it starts.
+func largestFirst(n int, size func(i int) int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
+	return order
+}
 
 // classes lists the FU classes a prepared benchmark actually uses.
 func classes(p *mediabench.Prepared) []dfg.Class {

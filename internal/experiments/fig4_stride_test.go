@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"bindlock/internal/interrupt"
 	"bindlock/internal/parallel"
+	"bindlock/internal/progress"
 )
 
 // TestAssignmentSpaceSaturates is the regression test for the truncated
@@ -86,19 +89,55 @@ func cellsBitIdentical(t *testing.T, a, b *Fig4Data) {
 	}
 }
 
-// TestResilienceParallelDeterminism: pre-drawn secrets and task-order
-// aggregation keep the SAT-attack sweep identical across worker counts.
+// TestResilienceParallelDeterminism: pre-drawn secrets and aggregation by
+// instance keep the SAT-attack sweep identical across worker counts, with
+// three widths so that widest-first dispatch reorders the tasks.
 func TestResilienceParallelDeterminism(t *testing.T) {
-	seq, err := Resilience(parallel.NewContext(context.Background(), 1), []int{2, 3}, 3, 5)
+	seq, err := Resilience(parallel.NewContext(context.Background(), 1), []int{1, 2, 3}, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Resilience(parallel.NewContext(context.Background(), 4), []int{2, 3}, 3, 5)
+	par, err := Resilience(parallel.NewContext(context.Background(), 4), []int{1, 2, 3}, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel rows differ:\nseq %+v\npar %+v", seq, par)
+	}
+	if len(seq) != 3 || seq[0].OperandBits != 1 || seq[2].OperandBits != 3 {
+		t.Fatalf("rows %+v, want widths 1, 2, 3 in order", seq)
+	}
+}
+
+// TestResilienceInterruptedKeepsFinishedWidths cancels a -j 1 sweep just
+// after the first attack on a width: the wider widths have finished (they
+// run first) and no other has, so the interrupted sweep returns exactly
+// those rows, in ascending width order, as the uninterrupted sweep computes
+// them.
+func TestResilienceInterruptedKeepsFinishedWidths(t *testing.T) {
+	widths, secrets := []int{1, 2, 3}, 3
+	full, err := Resilience(parallel.NewContext(context.Background(), 1), widths, secrets, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for finished := 1; finished <= 2; finished++ {
+		ctx, cancel := context.WithCancel(parallel.NewContext(context.Background(), 1))
+		hook := progress.Func(func(ev progress.Event) {
+			if ev.Kind == progress.Step && ev.Phase == "resilience" && ev.Done == finished*secrets+1 {
+				cancel()
+			}
+		})
+		rows, err := Resilience(progress.NewContext(ctx, hook), widths, secrets, 5)
+		cancel()
+		if !errors.Is(err, interrupt.ErrCancelled) {
+			t.Fatalf("%d widths finished: err = %v, want a cancellation", finished, err)
+		}
+		if want := full[len(full)-finished:]; !reflect.DeepEqual(rows, want) {
+			t.Fatalf("%d widths finished: rows %+v, want %+v", finished, rows, want)
+		}
+		if partial, ok := interrupt.Partial[[]ResilienceRow](err); !ok || !reflect.DeepEqual(partial, rows) {
+			t.Fatalf("%d widths finished: partial rows %+v not carried by the error", finished, partial)
+		}
 	}
 }
 

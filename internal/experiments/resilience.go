@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"bindlock/internal/interrupt"
@@ -37,6 +38,11 @@ type ResilienceRow struct {
 // any single secret fall early or late; the mean over secrets is the
 // comparable statistic (λ/2 is the center of the uniform hitting time, and
 // Eqn. 1's ceiling-of-expectation sits within 2x of it).
+//
+// The attacks fan out over the worker pool, widest adders first: attack cost
+// grows about fourfold per operand bit, so the longest attacks start while
+// the shorter ones fill in around them. An interrupted sweep returns, in the
+// given order, exactly the rows of the widths whose secrets all finished.
 func Resilience(ctx context.Context, operandBits []int, secretsPer int, seed int64) ([]ResilienceRow, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -73,12 +79,15 @@ func Resilience(ctx context.Context, operandBits []int, secretsPer int, seed int
 		}
 	}
 
-	// One task per (width, secret) attack instance; the lock constructors
-	// clone the shared base netlists.
+	// One task per (width, secret) attack instance, widest width first and
+	// secrets in draw order within a width; the lock constructors clone the
+	// shared base netlists. Task k attacks instance order[k], and instance
+	// wi*secretsPer+i is width wi's secret i.
 	n := len(operandBits) * secretsPer
+	order := largestFirst(n, func(t int) int { return operandBits[t/secretsPer] })
 	var ticks atomic.Int64
-	iters, done, perr := parallel.Map(ctx, 0, n, func(tctx context.Context, t int) (int, error) {
-		wi, i := t/secretsPer, t%secretsPer
+	iters, done, perr := parallel.Map(ctx, 0, n, func(tctx context.Context, k int) (int, error) {
+		wi, i := order[k]/secretsPer, order[k]%secretsPer
 		secret := secrets[wi][i]
 		lockedC, key, err := netlist.LockSFLLHD0(bases[wi], []uint64{secret})
 		if err != nil {
@@ -96,18 +105,21 @@ func Resilience(ctx context.Context, operandBits []int, secretsPer int, seed int
 		return res.Iterations, nil
 	})
 
-	// Aggregate the fully measured width prefix in task order; on
-	// interruption this reproduces the rows a sequential run had finished.
-	prefix := parallel.Prefix(done)
+	// Aggregate, in width order, every width whose secrets all finished.
+	measured := make([]int, n)
+	finished := make([]bool, n)
+	for k, t := range order {
+		measured[t], finished[t] = iters[k], done[k]
+	}
 	out := make([]ResilienceRow, 0, len(operandBits))
 	for wi := range operandBits {
-		if (wi+1)*secretsPer > prefix {
-			break
+		if slices.Contains(finished[wi*secretsPer:(wi+1)*secretsPer], false) {
+			continue
 		}
 		row := rows[wi]
 		total := 0
 		for i := 0; i < secretsPer; i++ {
-			it := iters[wi*secretsPer+i]
+			it := measured[wi*secretsPer+i]
 			total += it
 			if it < row.MinIterations {
 				row.MinIterations = it

@@ -47,35 +47,95 @@ type ScanSpec struct {
 	Class dfg.Class
 }
 
-// ScanSweep runs ScanAccess on each spec, fanning the independent runs out
-// over the worker pool configured on ctx (see internal/parallel). Rows come
-// back in spec order, identical to running the specs one by one.
+// ScanSweep runs E12 on each spec with the given DIP budget. It fans out
+// over the worker pool configured on ctx (see internal/parallel) in two flat
+// task lists: first one task per spec that builds its design, then one task
+// per budgeted attack (two per spec, no scan and scan), each with the
+// corruption sweep of the key it recovers, dispatched largest attacked
+// circuit first. Rows come back in spec order, identical to running the
+// specs one by one.
 func ScanSweep(ctx context.Context, specs []ScanSpec, budget, samples int, seed int64) ([]*ScanRow, error) {
-	rows, _, err := parallel.Map(ctx, 0, len(specs), func(tctx context.Context, i int) (*ScanRow, error) {
-		return ScanAccess(parallel.Sequential(tctx), specs[i].Bench, specs[i].Class, budget, samples, seed)
+	designs, _, err := parallel.Map(ctx, 0, len(specs), func(tctx context.Context, i int) (*scanDesign, error) {
+		return newScanDesign(parallel.Sequential(tctx), specs[i], samples, seed)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
-}
 
-// ScanAccess runs E12 on one benchmark with the given DIP budget.
-func ScanAccess(ctx context.Context, benchName string, class dfg.Class, budget, samples int, seed int64) (*ScanRow, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	// Attack t targets spec t/2: the whole design when t is even, the
+	// isolated module when it is odd.
+	target := func(t int) (*netlist.Circuit, []bool) {
+		d := designs[t/2]
+		if t%2 == 0 {
+			return d.locked.Circuit, d.locked.CorrectKey
+		}
+		return d.module, d.moduleKey
 	}
-	s, err := NewSuite(ctx, Config{Samples: samples, Seed: seed, Benchmarks: []string{benchName}})
+	order := largestFirst(2*len(specs), func(t int) int {
+		c, _ := target(t)
+		return c.LogicGates()
+	})
+
+	attacks, _, err := parallel.Map(ctx, 0, len(order), func(tctx context.Context, i int) (*scanAttack, error) {
+		t := order[i]
+		c, key := target(t)
+		return designs[t/2].attack(parallel.Sequential(tctx), c, key, budget, seed)
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := s.preps[0]
+	rows := make([]*ScanRow, len(specs))
+	for i, d := range designs {
+		rows[i] = d.row
+	}
+	for i, a := range attacks {
+		row := rows[order[i]/2]
+		if order[i]%2 == 0 {
+			row.NoScanIters, row.NoScanExact = a.iterations, a.exact
+			row.NoScanErrSample, row.NoScanRate = a.estErrorRate, a.sampleRate
+		} else {
+			row.ScanIterations, row.ScanExact, row.ScanSampleRate = a.iterations, a.exact, a.sampleRate
+		}
+	}
+	return rows, nil
+}
+
+// ScanAccess runs E12 on one benchmark with the given DIP budget: a
+// one-spec ScanSweep.
+func ScanAccess(ctx context.Context, benchName string, class dfg.Class, budget, samples int, seed int64) (*ScanRow, error) {
+	rows, err := ScanSweep(ctx, []ScanSpec{{Bench: benchName, Class: class}}, budget, samples, seed)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// scanDesign is one E12 spec, built: the co-designed locked datapath, its
+// unlocked twin as the reference for corruption sweeps, the workload as
+// input patterns, and the locked FU isolated as a standalone module.
+type scanDesign struct {
+	row       *ScanRow
+	locked    *elaborate.Result
+	reference satattack.Oracle
+	patterns  [][]bool
+	module    *netlist.Circuit
+	moduleKey []bool
+}
+
+// newScanDesign prepares the benchmark, co-designs a single-FU,
+// single-minterm lock (a 16-bit key), elaborates the design with and without
+// it, measures the corruption of a generic wrong key and locks the module.
+func newScanDesign(ctx context.Context, spec ScanSpec, samples int, seed int64) (*scanDesign, error) {
+	s, err := NewSuite(ctx, Config{Samples: samples, Seed: seed, Benchmarks: []string{spec.Bench}})
+	if err != nil {
+		return nil, err
+	}
+	p, class := s.preps[0], spec.Class
 	if !p.HasClass(class) {
-		return nil, fmt.Errorf("experiments: %s has no %v operations", benchName, class)
+		return nil, fmt.Errorf("experiments: %s has no %v operations", spec.Bench, class)
 	}
 	cands, _ := candidateList(p, class, s.Cfg.Candidates)
 
-	// Co-design a single-FU, single-minterm lock: 16-bit key.
 	co, err := codesign.Heuristic(ctx, p.G, p.Res.K,
 		codesignOptions(class, s.Cfg.NumFUs, 1, 1, cands, s.Cfg.OptimalBudget))
 	if err != nil {
@@ -100,63 +160,30 @@ func ScanAccess(ctx context.Context, benchName string, class dfg.Class, budget, 
 	if err != nil {
 		return nil, err
 	}
-
-	row := &ScanRow{
-		Bench:        benchName,
-		DesignGates:  locked.Circuit.LogicGates(),
-		DesignInputs: len(locked.Circuit.Inputs),
-		KeyBits:      len(locked.CorrectKey),
+	d := &scanDesign{
+		row: &ScanRow{
+			Bench:        spec.Bench,
+			DesignGates:  locked.Circuit.LogicGates(),
+			DesignInputs: len(locked.Circuit.Inputs),
+			KeyBits:      len(locked.CorrectKey),
+		},
+		locked:    locked,
+		reference: satattack.OracleFromCircuit(clean.Circuit, nil),
+		patterns:  make([][]bool, len(p.Trace.Samples)),
 	}
-
-	// sampleRate evaluates workload corruption of the locked design under
-	// an arbitrary key.
-	sampleRate := func(key []bool) (float64, error) {
-		corrupted := 0
-		for _, sample := range p.Trace.Samples {
-			in := elaborate.PackInputs(sample)
-			want, err := clean.Circuit.Eval(in, nil)
-			if err != nil {
-				return 0, err
-			}
-			got, err := locked.Circuit.Eval(in, key)
-			if err != nil {
-				return 0, err
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					corrupted++
-					break
-				}
-			}
-		}
-		return float64(corrupted) / float64(len(p.Trace.Samples)), nil
+	for i, sample := range p.Trace.Samples {
+		d.patterns[i] = elaborate.PackInputs(sample)
 	}
 
 	// Designer's view: a generic wrong key (one bit off the correct key).
 	generic := append([]bool(nil), locked.CorrectKey...)
 	generic[0] = !generic[0]
-	if row.CoSampleRate, err = sampleRate(generic); err != nil {
+	if d.row.CoSampleRate, err = d.sampleRate(ctx, generic); err != nil {
 		return nil, err
 	}
 
-	// --- No scan: budgeted attack on the whole design.
-	oracle := satattack.OracleFromCircuit(locked.Circuit, locked.CorrectKey)
-	noScan, err := satattack.ApproxAttack(ctx, locked.Circuit, oracle, satattack.ApproxOptions{
-		MaxIterations: budget, Seed: seed, ErrorSamples: 400,
-	})
-	if err != nil {
-		return nil, err
-	}
-	row.NoScanIters = noScan.Iterations
-	row.NoScanExact = noScan.Exact
-	row.NoScanErrSample = noScan.EstErrorRate
-	if row.NoScanRate, err = sampleRate(noScan.Key); err != nil {
-		return nil, err
-	}
-
-	// --- Scan: the attacker isolates the locked FU as a standalone module
-	// over its own 16-bit input space (the Sec. II-A model) and attacks it
-	// with the same budget.
+	// Scan: the attacker isolates the locked FU as a standalone module over
+	// its own 16-bit input space (the Sec. II-A model).
 	minterm := co.Cfg.Locks[0].Minterms[0]
 	pattern := uint64(minterm.A()) | uint64(minterm.B())<<elaborate.Width
 	var moduleBase *netlist.Circuit
@@ -168,21 +195,46 @@ func ScanAccess(ctx context.Context, benchName string, class dfg.Class, budget, 
 	if err != nil {
 		return nil, err
 	}
-	module, moduleKey, err := netlist.LockSFLLHD0(moduleBase, []uint64{pattern})
-	if err != nil {
+	if d.module, d.moduleKey, err = netlist.LockSFLLHD0(moduleBase, []uint64{pattern}); err != nil {
 		return nil, err
 	}
-	scan, err := satattack.ApproxAttack(ctx, module, satattack.OracleFromCircuit(module, moduleKey),
+	return d, nil
+}
+
+// sampleRate is the workload corruption of the locked design under key: the
+// fraction of workload samples on which some output differs from the
+// unlocked design's.
+func (d *scanDesign) sampleRate(ctx context.Context, key []bool) (float64, error) {
+	wrong, err := satattack.ErrorCount(ctx, d.locked.Circuit, key, d.reference, d.patterns)
+	if err != nil {
+		return 0, err
+	}
+	return float64(wrong) / float64(len(d.patterns)), nil
+}
+
+// scanAttack is one budgeted E12 attack and the workload corruption of the
+// key it recovers.
+type scanAttack struct {
+	iterations   int
+	exact        bool
+	estErrorRate float64
+	sampleRate   float64
+}
+
+// attack runs the budgeted approximate attack on c, locked under correctKey
+// (the whole design or the module), and sweeps the design's workload
+// corruption under the recovered key.
+func (d *scanDesign) attack(ctx context.Context, c *netlist.Circuit, correctKey []bool, budget int, seed int64) (*scanAttack, error) {
+	res, err := satattack.ApproxAttack(ctx, c, satattack.OracleFromCircuit(c, correctKey),
 		satattack.ApproxOptions{MaxIterations: budget, Seed: seed, ErrorSamples: 400})
 	if err != nil {
 		return nil, err
 	}
-	row.ScanIterations = scan.Iterations
-	row.ScanExact = scan.Exact
-	if row.ScanSampleRate, err = sampleRate(scan.Key); err != nil {
+	a := &scanAttack{iterations: res.Iterations, exact: res.Exact, estErrorRate: res.EstErrorRate}
+	if a.sampleRate, err = d.sampleRate(ctx, res.Key); err != nil {
 		return nil, err
 	}
-	return row, nil
+	return a, nil
 }
 
 // RenderScan prints E12 rows.

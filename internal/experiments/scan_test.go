@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bindlock/internal/dfg"
+	"bindlock/internal/parallel"
 )
 
 func TestScanAccessExperiment(t *testing.T) {
@@ -51,5 +53,37 @@ func TestScanAccessErrors(t *testing.T) {
 	}
 	if _, err := ScanAccess(context.Background(), "nope", dfg.ClassAdd, 4, 50, 1); err == nil {
 		t.Fatal("unknown benchmark must error")
+	}
+}
+
+// TestScanSweepParallelDeterminism: the flat, largest-first attack fan-out
+// gives the same rows at -j 1 and -j 4, and each row equals its spec's
+// ScanAccess run alone.
+func TestScanSweepParallelDeterminism(t *testing.T) {
+	specs := []ScanSpec{
+		{Bench: "jdmerge1", Class: dfg.ClassMul},
+		{Bench: "fir", Class: dfg.ClassAdd},
+		{Bench: "jdmerge3", Class: dfg.ClassAdd},
+	}
+	const budget, samples, seed = 6, 200, 3
+	seq, err := ScanSweep(parallel.NewContext(context.Background(), 1), specs, budget, samples, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ScanSweep(parallel.NewContext(context.Background(), 4), specs, budget, samples, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("rows differ between -j 1 and -j 4:\nseq %+v\npar %+v", seq, par)
+	}
+	for i, spec := range specs {
+		alone, err := ScanAccess(context.Background(), spec.Bench, spec.Class, budget, samples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq[i], alone) {
+			t.Errorf("%s: swept row %+v, alone %+v", spec.Bench, seq[i], alone)
+		}
 	}
 }

@@ -46,32 +46,44 @@ func SeedStability(ctx context.Context, cfg Config, seeds []int64) (*Stability, 
 		AllSeedsCoBeatsObf:       true,
 		AllSeedsAboveUnityMargin: true,
 	}
-	// One task per seed; each reruns the full sweep sequentially (the outer
-	// fan-out already saturates the pool) and results aggregate in seed
-	// order, so the table is identical at any worker count.
+	// One task per (seed, benchmark): it prepares that benchmark under that
+	// seed and computes its Fig. 4 cells, so only the preparations in
+	// flight are live. Each seed's cells merge in benchmark order, the
+	// order of its Fig. 4 sweep, so the table is identical at any worker
+	// count.
+	names := cfg.benchmarkNames()
+	n := len(seeds) * len(names)
 	var ticks atomic.Int64
-	heads, _, err := parallel.Map(ctx, cfg.Parallelism, len(seeds), func(tctx context.Context, si int) (Headline, error) {
+	cells, _, err := parallel.Map(ctx, cfg.Parallelism, n, func(tctx context.Context, t int) ([]Cell, error) {
 		c := cfg
-		c.Seed = seeds[si]
-		c.Parallelism = 1
+		c.Seed = seeds[t/len(names)]
+		s := &Suite{Cfg: c.withDefaults()}
 		sctx := parallel.Sequential(tctx)
-		s, err := NewSuite(sctx, c)
+		p, err := s.Cfg.prepare(sctx, names[t%len(names)])
 		if err != nil {
-			return Headline{}, err
+			return nil, err
 		}
-		d, err := s.Fig4(sctx)
-		if err != nil {
-			return Headline{}, err
+		var out []Cell
+		for _, class := range classes(p) {
+			cs, err := s.fig4BenchClass(sctx, p, class)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, cs...)
 		}
-		progress.Tick(hook, "stability", int(ticks.Add(1)), len(seeds))
-		return d.HeadlineStats(), nil
+		progress.Tick(hook, "stability", int(ticks.Add(1)), n)
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var obs, cos []float64
 	for si, seed := range seeds {
-		h := heads[si]
+		var d Fig4Data
+		for _, cs := range cells[si*len(names) : (si+1)*len(names)] {
+			d.Cells = append(d.Cells, cs...)
+		}
+		h := d.HeadlineStats()
 		out.Rows = append(out.Rows, StabilityRow{
 			Seed: seed, ObfOverall: h.ObfOverall, CoOverall: h.CoOverall,
 			HeuristicGap: h.HeuristicGap,

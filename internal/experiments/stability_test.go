@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,5 +45,49 @@ func TestSeedStability(t *testing.T) {
 func TestSeedStabilityNoSeeds(t *testing.T) {
 	if _, err := SeedStability(context.Background(), Config{}, nil); err == nil {
 		t.Fatal("empty seed list must error")
+	}
+}
+
+// TestSeedStabilityParallelDeterminism: the per-(seed, benchmark) fan-out
+// gives the same table at -j 1 and -j 4, and each seed's headline equals
+// that of a Fig. 4 sweep over a suite prepared under that seed.
+func TestSeedStabilityParallelDeterminism(t *testing.T) {
+	cfg := Config{
+		Samples:        150,
+		Candidates:     6,
+		MaxAssignments: 30,
+		OptimalBudget:  200,
+		Benchmarks:     []string{"fir", "jdmerge3", "ecb_enc4"},
+	}
+	seeds := []int64{1, 4}
+	run := func(j int) *Stability {
+		c := cfg
+		c.Parallelism = j
+		s, err := SeedStability(context.Background(), c, seeds)
+		if err != nil {
+			t.Fatalf("-j %d: %v", j, err)
+		}
+		return s
+	}
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("tables differ between -j 1 and -j 4:\nseq %+v\npar %+v", seq, par)
+	}
+	for i, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		s, err := NewSuite(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Fig4(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := d.HeadlineStats()
+		want := StabilityRow{Seed: seed, ObfOverall: h.ObfOverall, CoOverall: h.CoOverall, HeuristicGap: h.HeuristicGap}
+		if seq.Rows[i] != want {
+			t.Errorf("seed %d: row %+v, Fig. 4 sweep %+v", seed, seq.Rows[i], want)
+		}
 	}
 }

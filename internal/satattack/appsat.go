@@ -115,50 +115,30 @@ func ApproxAttack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, o
 		return nil, err
 	}
 
-	// Estimate the candidate key's error rate by random queries.
+	// Estimate the candidate key's error rate by random queries, drawn
+	// sample by sample from the seeded stream and compared 64 at a time.
 	q := newQuerier(oracle, opts.Retry, opts.Votes, opts.Quorum, metrics.FromContext(ctx))
 	rng := rand.New(rand.NewSource(opts.Seed))
-	n := len(locked.Inputs)
-	wrong := 0
-	// estimationInterrupted reports the error rate over the s samples
-	// compared before the interruption.
-	estimationInterrupted := func(s int, cause error) (*ApproxResult, error) {
-		if s > 0 {
-			res.EstErrorRate = float64(wrong) / float64(s)
-		}
-		res.Duration = time.Since(start)
-		progress.End(hook, "approx-attack", "interrupted during error estimation")
-		return res, interrupt.Rewrap(approxOp, cause, res)
-	}
-	for s := 0; s < samples; s++ {
-		if s%256 == 0 {
-			if cerr := interrupt.Check(ctx, approxOp, nil); cerr != nil {
-				return estimationInterrupted(s, cerr)
-			}
-		}
-		in := make([]bool, n)
+	v := newVerifier(ctx, locked, res.Key, oracle, q)
+	err = v.sample(samples, func(_ int, in []bool) {
 		for i := range in {
 			in[i] = rng.Intn(2) == 1
 		}
-		got, err := locked.Eval(in, res.Key)
-		if err != nil {
-			return nil, err
-		}
-		want, err := q.query(ctx, in)
-		if err != nil {
-			if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
-				return estimationInterrupted(s, err)
-			}
+	})
+	if err != nil {
+		if !errors.Is(err, interrupt.ErrCancelled) && !errors.Is(err, interrupt.ErrBudgetExceeded) {
 			return nil, fmt.Errorf("satattack: approx error estimation: %w", err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				wrong++
-				break
-			}
+		// Cut short: the rate over the samples compared before the
+		// interruption.
+		if v.compared > 0 {
+			res.EstErrorRate = float64(v.wrong) / float64(v.compared)
 		}
+		res.Duration = time.Since(start)
+		progress.End(hook, "approx-attack", "interrupted during error estimation")
+		return res, interrupt.Rewrap(approxOp, err, res)
 	}
-	res.EstErrorRate = float64(wrong) / float64(samples)
+	res.EstErrorRate = float64(v.wrong) / float64(samples)
 	res.Duration = time.Since(start)
 	progress.End(hook, "approx-attack", fmt.Sprintf("%d DIPs, est err %.3f", res.Iterations, res.EstErrorRate))
 	return res, nil

@@ -8,8 +8,8 @@
 // find a distinguishing input pattern (DIP), queries the oracle on the DIP,
 // and constrains both key copies to reproduce the observed output. When the
 // miter becomes unsatisfiable, every key consistent with the accumulated
-// constraints is functionally correct; one is extracted from a parallel
-// constraint-only solver.
+// constraints is functionally correct; one is extracted from a
+// constraint-only solver built from the answered DIPs.
 //
 // Attack is context-aware: SFLL-style point functions are designed to blow
 // up solver time, so a server embedding the attack bounds it with a context
@@ -286,15 +286,6 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		}
 	}
 
-	// Key solver: accumulates only the I/O constraints over one key bus; it
-	// stays satisfiable (the correct key satisfies everything) and yields
-	// the final key. Cycle constraints lead its clause stream.
-	ke := cnf.NewEncoderBackend(factory())
-	keyVars := ke.FreshVars(len(locked.Keys))
-	if err := ke.CycleClauses(keyVars, cycleClauses); err != nil {
-		return nil, err
-	}
-
 	// The checkpoint journal seals a resumed run's replayed transcript up
 	// front, so the file its first write creates already holds every
 	// recorded DIP: replay never shrinks a checkpoint.
@@ -316,18 +307,61 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	}
 
 	res := &Result{}
+	// answers holds the oracle's answer to each answered DIP, in order: with
+	// res.DIPs, the transcript the key solver is built from.
+	var answers [][]bool
+	// releaseMiter records the miter's final CNF size and drops the solver,
+	// so the key solver built after it never lives beside it.
+	var miterVars, miterClauses int
+	releaseMiter := func() {
+		if me != nil {
+			miterVars, miterClauses = me.S.NumVars(), me.S.NumClauses()
+			me = nil
+		}
+	}
 	// End-of-attack telemetry on every return path, completed or interrupted:
 	// the miter encoder's final CNF size and the DIP count are deterministic
 	// for a given circuit, so they land in the registry's deterministic
 	// subset. All methods tolerate a nil registry.
 	defer func() {
+		releaseMiter()
 		mreg.Add("satattack_attacks_total", 1)
-		mreg.Add("satattack_cnf_vars_total", int64(me.S.NumVars()))
-		mreg.Add("satattack_cnf_clauses_total", int64(me.S.NumClauses()))
+		mreg.Add("satattack_cnf_vars_total", int64(miterVars))
+		mreg.Add("satattack_cnf_clauses_total", int64(miterClauses))
 		mreg.Observe("satattack_dip_iterations", float64(res.Iterations))
 	}()
+	// The key solver holds only the I/O constraints of the answered DIPs
+	// over one key bus, led by the cycle constraints; it stays satisfiable
+	// (the correct key satisfies everything) and yields the key. It is
+	// built once, when a key is extracted, after the miter is released:
+	// the same clause stream the DIP loop would have fed it, so the same
+	// key, and an attack's footprint is the larger of the two solvers
+	// rather than their sum.
+	var ke *cnf.Encoder
+	var keyVars []int
+	keySolver := func() error {
+		if ke != nil {
+			return nil
+		}
+		releaseMiter()
+		var err error
+		ke, keyVars, err = buildKeySolver(factory(), locked, cycleClauses, res.DIPs, answers)
+		return err
+	}
+	// extractKey solves the key solver for a best-effort key guess,
+	// detached from the (possibly done) caller context: the constraint-only
+	// solver stays satisfiable and cheap, so the extraction is bounded by its
+	// own conflict budget rather than the expired deadline.
+	extractKey := func() {
+		if keySolver() != nil {
+			return
+		}
+		if found, err := ke.S.Solve(context.WithoutCancel(ctx)); err == nil && found {
+			res.Key = keyValues(ke, keyVars)
+		}
+	}
 	// stopIter times one whole DIP iteration — miter solve, oracle query and
-	// constraint encoding, but not checkpoint IO, which
+	// miter constraint encoding, but not checkpoint IO, which
 	// satattack_checkpoint_seconds times. It is re-armed per iteration and
 	// safe to settle on any exit path.
 	var iterTimer func()
@@ -343,7 +377,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	interrupted := func(cause error) (*Result, error) {
 		stopIter()
 		res.Duration = time.Since(start)
-		extractKey(ctx, ke, keyVars, res)
+		extractKey()
 		progress.End(hook, "attack", fmt.Sprintf("interrupted after %d DIPs", res.Iterations))
 		return res, interrupt.Rewrap(attackOp, cause, res)
 	}
@@ -412,10 +446,11 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 				}
 				// Oracle exhausted: surface the partial result (DIPs paid
 				// for so far, best-effort key) alongside the typed error so
-				// a caller holding a checkpoint loses nothing.
+				// a caller holding a checkpoint loses nothing. The
+				// unanswered DIP constrains nothing.
 				stopIter()
 				res.Duration = time.Since(start)
-				extractKey(ctx, ke, keyVars, res)
+				extractKey()
 				progress.End(hook, "attack", fmt.Sprintf("oracle failed after %d DIPs", res.Iterations))
 				return res, fmt.Errorf("satattack: oracle query (iteration %d): %w", res.Iterations, err)
 			}
@@ -424,9 +459,9 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 			}
 		}
 		mreg.Add("satattack_oracle_queries_total", 1)
+		answers = append(answers, outs)
 
-		// Constrain both miter key copies and the key solver with the
-		// observed I/O behaviour.
+		// Constrain both miter key copies with the observed I/O behaviour.
 		inBits := me.ConstVars(dip)
 		for _, kv := range [][]int{inst1.Keys, inst2.Keys} {
 			ci, err := me.Encode(locked, inBits, kv)
@@ -437,14 +472,6 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 			for i, ov := range ci.Outputs {
 				me.FixVar(ov, outs[i])
 			}
-		}
-		ci, err := ke.Encode(locked, ke.ConstVars(dip), keyVars)
-		if err != nil {
-			stopIter()
-			return nil, err
-		}
-		for i, ov := range ci.Outputs {
-			ke.FixVar(ov, outs[i])
 		}
 		stopIter()
 
@@ -469,11 +496,14 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	if res.Iterations >= maxIter {
 		cause := fmt.Errorf("%w (%d iterations)", ErrIterationBudget, maxIter)
 		res.Duration = time.Since(start)
-		extractKey(ctx, ke, keyVars, res)
+		extractKey()
 		progress.End(hook, "attack", fmt.Sprintf("budget after %d DIPs", res.Iterations))
 		return res, interrupt.Budget(attackOp, cause, res)
 	}
 
+	if err := keySolver(); err != nil {
+		return nil, err
+	}
 	found, err := ke.S.Solve(ctx)
 	if err != nil {
 		if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
@@ -484,24 +514,38 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	if !found {
 		return nil, fmt.Errorf("satattack: constraints unsatisfiable; oracle inconsistent with netlist")
 	}
-	res.Key = make([]bool, len(keyVars))
-	for i, v := range keyVars {
-		res.Key[i] = ke.S.Value(v)
-	}
+	res.Key = keyValues(ke, keyVars)
 	res.Duration = time.Since(start)
 	progress.End(hook, "attack", fmt.Sprintf("%d DIPs", res.Iterations))
 	return res, nil
 }
 
-// extractKey solves the accumulated I/O constraints for a best-effort key
-// guess, detached from the (already-done) caller context: the constraint-only
-// solver stays satisfiable and cheap, so the extraction is bounded by its own
-// conflict budget rather than the expired deadline.
-func extractKey(ctx context.Context, ke *cnf.Encoder, keyVars []int, res *Result) {
-	if found, err := ke.S.Solve(context.WithoutCancel(ctx)); err == nil && found {
-		res.Key = make([]bool, len(keyVars))
-		for i, v := range keyVars {
-			res.Key[i] = ke.S.Value(v)
+// buildKeySolver encodes a transcript on a fresh solver: the cycle
+// constraints over one key bus, then each answered DIP's I/O constraint.
+// answers may be one shorter than dips (an unanswered last DIP).
+func buildKeySolver(b sat.Backend, locked *netlist.Circuit, cycle []netlist.CycleClause, dips, answers [][]bool) (*cnf.Encoder, []int, error) {
+	ke := cnf.NewEncoderBackend(b)
+	keyVars := ke.FreshVars(len(locked.Keys))
+	if err := ke.CycleClauses(keyVars, cycle); err != nil {
+		return nil, nil, err
+	}
+	for d, outs := range answers {
+		ci, err := ke.Encode(locked, ke.ConstVars(dips[d]), keyVars)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, ov := range ci.Outputs {
+			ke.FixVar(ov, outs[i])
 		}
 	}
+	return ke, keyVars, nil
+}
+
+// keyValues reads the key bus out of a satisfied key solver.
+func keyValues(ke *cnf.Encoder, keyVars []int) []bool {
+	key := make([]bool, len(keyVars))
+	for i, v := range keyVars {
+		key[i] = ke.S.Value(v)
+	}
+	return key
 }

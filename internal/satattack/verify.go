@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bindlock/internal/interrupt"
 	"bindlock/internal/metrics"
@@ -60,7 +61,30 @@ func VerifyKey(ctx context.Context, locked *netlist.Circuit, key []bool, oracle 
 	return nil
 }
 
-// verifier holds one VerifyKey sweep's state and scratch.
+// ErrorCount compares the locked circuit under key with the oracle on every
+// pattern and returns how many disagree in some output. Like VerifyKey it
+// checks 64 patterns per block, on lanes on both sides when the oracle is
+// OracleFromCircuit's, and one pattern at a time for any other oracle and
+// for lanes that do not settle. It records no metrics: it measures a key,
+// it does not attack one.
+func ErrorCount(ctx context.Context, locked *netlist.Circuit, key []bool, oracle Oracle, patterns [][]bool) (int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for _, p := range patterns {
+		if len(p) != len(locked.Inputs) {
+			return 0, fmt.Errorf("satattack: error count: %d-bit pattern, circuit %s has %d inputs",
+				len(p), locked.Name, len(locked.Inputs))
+		}
+	}
+	v := newVerifier(ctx, locked, key, oracle, newQuerier(oracle, RetryPolicy{}, 1, 1, nil))
+	err := v.sample(len(patterns), func(s int, in []bool) { copy(in, patterns[s]) })
+	return v.wrong, err
+}
+
+// verifier compares the locked circuit under one key with an oracle, 64
+// patterns at a time: VerifyKey's sweep and the sampled error counts of
+// ErrorCount and ApproxAttack.
 type verifier struct {
 	ctx      context.Context
 	locked   *netlist.Circuit
@@ -72,6 +96,10 @@ type verifier struct {
 	in       []uint64
 	got      *keyedLanes // locked side; nil when it cannot run on lanes
 	want     *keyedLanes // oracle side; nil unless oracle is a circuitOracle
+	// count makes a disagreement a tally instead of an error: wrong counts
+	// the disagreeing patterns, compared every pattern checked so far.
+	count           bool
+	wrong, compared int
 }
 
 func newVerifier(ctx context.Context, locked *netlist.Circuit, key []bool, oracle Oracle, q *querier) *verifier {
@@ -96,8 +124,10 @@ func newVerifier(ctx context.Context, locked *netlist.Circuit, key []bool, oracl
 }
 
 // block checks the 64 patterns of block b.
-func (v *verifier) block(b uint64) error {
-	lanes := v.fill(b)
+func (v *verifier) block(b uint64) error { return v.check(v.fill(b)) }
+
+// check compares the first lanes patterns loaded in v.in.
+func (v *verifier) check(lanes int) error {
 	if v.got == nil {
 		return v.perPattern(0, lanes)
 	}
@@ -108,13 +138,19 @@ func (v *verifier) block(b uint64) error {
 	mask := ^uint64(0) >> uint(64-lanes)
 	if v.want != nil {
 		want, wantX, err := v.want.eval(v.in)
-		if err != nil || (gotX|wantX)&mask != 0 || !equalLanes(got, want, mask) {
+		if err != nil || (gotX|wantX)&mask != 0 || len(got) != len(want) {
+			return v.perPattern(0, lanes)
+		}
+		wrong := diffLanes(got, want) & mask
+		if wrong != 0 && !v.count {
 			return v.perPattern(0, lanes)
 		}
 		n := int64(lanes * v.q.votes)
 		v.q.mreg.Add("retry_votes_total", n)
 		v.q.mreg.Add("retry_oracle_attempts_total", n)
 		v.q.calls += uint64(n)
+		v.wrong += bits.OnesCount64(wrong)
+		v.compared += lanes
 		return nil
 	}
 	for l := 0; l < lanes; l++ {
@@ -149,14 +185,49 @@ func (v *verifier) perPattern(from, to int) error {
 func (v *verifier) compare(in, got []bool) error {
 	want, err := v.q.query(v.ctx, in)
 	if err != nil {
-		if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
+		if v.count || errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
 			return err
 		}
 		return fmt.Errorf("satattack: verify key at input %s: %w", patternString(in), err)
 	}
+	v.compared++
 	for i := range got {
 		if got[i] != want[i] {
+			if v.count {
+				v.wrong++
+				return nil
+			}
 			return fmt.Errorf("satattack: key wrong at input %s output %d", patternString(in), i)
+		}
+	}
+	return nil
+}
+
+// sample compares n patterns, drawn in order by draw into a scratch pattern,
+// 64 to a block, and tallies the disagreements. ctx is checked before every
+// 256th pattern; an error leaves wrong and compared covering the patterns
+// compared before it.
+func (v *verifier) sample(n int, draw func(s int, in []bool)) error {
+	v.count = true
+	pattern := make([]bool, len(v.in))
+	for s := 0; s < n; s += 64 {
+		if s%256 == 0 {
+			if err := interrupt.Check(v.ctx, "satattack: sample errors", nil); err != nil {
+				return err
+			}
+		}
+		lanes := min(64, n-s)
+		clear(v.in)
+		for l := 0; l < lanes; l++ {
+			draw(s+l, pattern)
+			for i, b := range pattern {
+				if b {
+					v.in[i] |= 1 << uint(l)
+				}
+			}
+		}
+		if err := v.check(lanes); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -222,18 +293,14 @@ func newKeyedLanes(c *netlist.Circuit, key []bool) (*keyedLanes, error) {
 
 func (k *keyedLanes) eval(in []uint64) ([]uint64, uint64, error) { return k.ev.Eval(in, k.keys) }
 
-// equalLanes reports whether two output word vectors agree on the masked
-// lanes.
-func equalLanes(a, b []uint64, mask uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
+// diffLanes returns the lanes in which two equally long output word vectors
+// differ in some output.
+func diffLanes(a, b []uint64) uint64 {
+	var d uint64
 	for i := range a {
-		if (a[i]^b[i])&mask != 0 {
-			return false
-		}
+		d |= a[i] ^ b[i]
 	}
-	return true
+	return d
 }
 
 // laneBits extracts lane l of a word per bit.
