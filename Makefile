@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci figures golden bench vuln staticcheck cover fuzz chaos chaos-bindlockd clean
+.PHONY: all build test race vet fmt ci figures golden bench loc vuln staticcheck cover fuzz chaos chaos-bindlockd clean
 
 all: build
 
@@ -79,6 +79,13 @@ golden:
 # See bench/README.md for scoping a run with --workload, --seed and --seconds.
 bench:
 	bash bench/run.sh
+
+# loc prints the production Go line count: every non-test .go file outside
+# the benchmark module (bench/) and its build directory. Each change reports
+# its net production lines as the difference of two `make loc` readings.
+loc:
+	@find . \( -path ./bench -o -path ./.bench_build -o -path ./.git \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # vuln scans the module against the Go vulnerability database. It downloads
 # govulncheck on demand, so it needs network access; it is a CI step, not

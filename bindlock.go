@@ -632,10 +632,9 @@ func WithAttackVoting(votes, quorum int) AttackOption {
 }
 
 // WithCheckpoint makes the attack journal its oracle transcript to path,
-// appending every `every` iterations (<=1: every iteration), so a killed
-// attack loses no oracle work.
-func WithCheckpoint(path string, every int) AttackOption {
-	return func(c *attackConfig) { c.opts.CheckpointPath, c.opts.CheckpointEvery = path, every }
+// appending after every DIP, so a killed attack loses no oracle work.
+func WithCheckpoint(path string) AttackOption {
+	return func(c *attackConfig) { c.opts.CheckpointPath = path }
 }
 
 // WithResume resumes the attack from a checkpoint file: recorded DIPs are

@@ -8,7 +8,7 @@
 //	          [-secret N] [-h 1] [-keys 8] [-cycles 2] [-decoys 2] [-cycsat]
 //	          [-seed 1] [-timeout 30s] [-j N] [-progress]
 //	          [-retries 1] [-votes 1] [-quorum 0] [-fault-plan SPEC]
-//	          [-checkpoint FILE] [-checkpoint-every 1] [-resume FILE]
+//	          [-checkpoint FILE] [-resume FILE]
 //	          [-checkpoint-key-file FILE]
 //	          [-solver cdcl|dpll]
 //	          [-metrics out.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -27,8 +27,8 @@
 // The robustness flags harden the oracle loop: -retries retries each oracle
 // query with exponential backoff, -votes/-quorum answer each DIP by majority
 // vote over repeated queries, -checkpoint journals the oracle transcript,
-// appending every -checkpoint-every iterations, and -resume continues a
-// killed attack bit-identically from its checkpoint. -checkpoint-key-file
+// appending after every DIP, and -resume continues a killed attack
+// bit-identically from its checkpoint. -checkpoint-key-file
 // names a node secret (hex, generated on first use) that MACs every
 // checkpoint write and is required to verify on -resume, so a tampered
 // transcript cold-fails instead of steering the attack. -fault-plan injects a
@@ -91,7 +91,6 @@ func main() {
 	votes := flag.Int("votes", 1, "oracle queries per DIP, folded by per-bit majority vote")
 	quorum := flag.Int("quorum", 0, "minimum agreeing votes per output bit; 0 means simple majority")
 	checkpoint := flag.String("checkpoint", "", "write the attack's oracle transcript to this file for later -resume")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "iterations between checkpoint writes")
 	resume := flag.String("resume", "", "resume a killed attack from this checkpoint file")
 	checkpointKeyFile := flag.String("checkpoint-key-file", "", "node secret for tamper-evident checkpoints (hex, created on first use); writes MAC'd transcripts and rejects tampered ones on -resume")
 	faultPlan := flag.String("fault-plan", "", "inject a deterministic fault schedule, e.g. seed=42,transient=0.1,bitflip=0.01")
@@ -138,8 +137,7 @@ func main() {
 		}
 		rb := robustness{
 			retries: *retries, votes: *votes, quorum: *quorum,
-			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery,
-			resume: *resume, ckptKey: ckptKey, plan: plan,
+			checkpoint: *checkpoint, resume: *resume, ckptKey: ckptKey, plan: plan,
 			solver: *solver,
 			cycles: *cycles, decoys: *decoys, cycsat: *cycsat,
 		}
@@ -214,7 +212,6 @@ func printPartial(iterations, keyLen, keyBits int, start time.Time, err error) {
 type robustness struct {
 	retries, votes, quorum int
 	checkpoint             string
-	checkpointEvery        int
 	resume                 string
 	ckptKey                []byte
 	plan                   fault.Plan
@@ -339,11 +336,11 @@ func attack(ctx context.Context, fu string, width int, scheme string, secretFlag
 	}
 	res, err := satattack.Attack(ctx, locked, oracle, satattack.Options{
 		Retry: retry, Votes: rb.votes, Quorum: rb.quorum,
-		CheckpointPath: rb.checkpoint, CheckpointEvery: rb.checkpointEvery,
-		CheckpointKey: rb.ckptKey,
-		Resume:        cp,
-		Solver:        rb.solver,
-		CycleBreak:    cycleBreak,
+		CheckpointPath: rb.checkpoint,
+		CheckpointKey:  rb.ckptKey,
+		Resume:         cp,
+		Solver:         rb.solver,
+		CycleBreak:     cycleBreak,
 	})
 	if err != nil {
 		if interrupted(err) && res != nil {

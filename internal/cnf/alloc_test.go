@@ -30,7 +30,8 @@ func (b *nopBackend) SetMaxConflicts(n int64)      {}
 // TestEncodeAllocs pins that encoding a circuit costs a constant number of
 // allocations, not one per clause: every clause reaches the backend through
 // the encoder's scratch slice. The circuit is an SFLL-HD(0)-locked width-8
-// adder, the attack's largest daemon request.
+// adder, the attack's largest daemon request, encoded both as a full copy
+// and as a cone-shared second key copy.
 func TestEncodeAllocs(t *testing.T) {
 	base, err := netlist.NewAdder(8)
 	if err != nil {
@@ -44,18 +45,29 @@ func TestEncodeAllocs(t *testing.T) {
 	e := NewEncoderBackend(b)
 	inputs := e.FreshVars(len(locked.Inputs))
 	keys := e.FreshVars(len(locked.Keys))
-	encode := func() {
-		if _, err := e.Encode(locked, inputs, keys); err != nil {
-			t.Fatal(err)
-		}
+	prev, err := e.Encode(locked, inputs, keys)
+	if err != nil {
+		t.Fatal(err)
 	}
-	encode()
-	before := b.clauses
-	encode()
-	perEncode := b.clauses - before
-	avg := testing.AllocsPerRun(20, encode)
-	t.Logf("Encode: %d clauses, %.0f allocations", perEncode, avg)
-	if avg > 8 {
-		t.Errorf("Encode of %d clauses allocates %.0f times, want at most 8", perEncode, avg)
+	for _, tc := range []struct {
+		name   string
+		encode func() (*Instance, error)
+	}{
+		{"Encode", func() (*Instance, error) { return e.Encode(locked, inputs, keys) }},
+		{"EncodeShared", func() (*Instance, error) { return e.EncodeShared(locked, prev) }},
+	} {
+		encode := func() {
+			if _, err := tc.encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := b.clauses
+		encode()
+		perEncode := b.clauses - before
+		avg := testing.AllocsPerRun(20, encode)
+		t.Logf("%s: %d clauses, %.0f allocations", tc.name, perEncode, avg)
+		if avg > 8 {
+			t.Errorf("%s of %d clauses allocates %.0f times, want at most 8", tc.name, perEncode, avg)
+		}
 	}
 }

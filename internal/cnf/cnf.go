@@ -104,8 +104,36 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 	if len(keys) != len(c.Keys) {
 		return nil, fmt.Errorf("cnf: %d key vars for %d keys", len(keys), len(c.Keys))
 	}
+	return e.emit(c, inputs, keys, nil, nil)
+}
 
-	s := e.S
+// EncodeShared instantiates a second key copy of c against prev, a full
+// Encode of the same circuit in this encoder. Only the key cone — gates
+// whose value can depend on a key bit — is re-encoded on fresh variables
+// with a fresh key bus; every net outside the cone aliases prev's variable
+// outright. The copies are miter-equivalent to two full Encode calls over a
+// shared input bus, but the solver sees the shared logic once, so proving
+// the final "no distinguishing input remains" UNSAT no longer requires
+// re-deriving the equality of two syntactically disjoint copies of the
+// whole datapath.
+func (e *Encoder) EncodeShared(c *netlist.Circuit, prev *Instance) (*Instance, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if prev == nil || len(prev.gateVars) != len(c.Gates) {
+		return nil, fmt.Errorf("cnf: shared encode against a foreign instance")
+	}
+	return e.emit(c, prev.Inputs, e.FreshVars(len(c.Keys)), prev, keyCone(c))
+}
+
+// emit is the Tseitin gate loop behind every circuit copy: it encodes c over
+// the given input and key buses, which the caller has checked. With shared
+// nil every gate is encoded. With shared set, only the gates in cone are;
+// every other gate aliases shared's variable. A key cone never holds an
+// input or constant gate and always holds every key gate, so the bus walks
+// below stay aligned in both modes.
+func (e *Encoder) emit(c *netlist.Circuit, inputs, keys []int, shared *Instance, cone []bool) (*Instance, error) {
+	encoded := func(id int) bool { return shared == nil || cone[id] }
 	gateVar := make([]int, len(c.Gates))
 	in, key := 0, 0
 	pos := func(v int) sat.Lit { return sat.NewLit(v, false) }
@@ -116,25 +144,31 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 	// order, so every instance of the circuit allocates its variables in the
 	// same order. When the source gate is finally encoded it either *is* the
 	// pinned variable (fresh-variable kinds) or is tied to it with
-	// equivalence clauses (alias kinds: input/key/const/buf).
+	// equivalence clauses (alias kinds: input/key/const/buf). Only encoded
+	// sources need this copy's own pinned variable; a source outside the
+	// cone resolves to the shared copy's settled variable.
 	var pinned map[int]int
 	if len(c.Feedback) > 0 {
 		pinned = make(map[int]int, len(c.Feedback))
 		for _, fe := range c.Feedback {
-			if _, ok := pinned[fe.From]; !ok {
-				pinned[fe.From] = s.NewVar()
+			if _, ok := pinned[fe.From]; !ok && encoded(fe.From) {
+				pinned[fe.From] = e.S.NewVar()
 			}
 		}
 	}
 	// fanin resolves a fan-in reference from gate id: an ordinary (earlier)
-	// gate by its encoded variable, a back-edge by its pinned variable —
-	// Validate guarantees any non-topological fan-in is a registered
-	// feedback source, so the pinned lookup cannot miss.
+	// gate by the variable the loop below gave it, a back-edge by its pinned
+	// variable — Validate guarantees any non-topological fan-in is a
+	// registered feedback source, so the pinned lookup cannot miss — or, for
+	// a source outside the cone, by the shared copy's variable.
 	fanin := func(ref, id int) int {
-		if ref >= id {
+		switch {
+		case ref < id:
+			return gateVar[ref]
+		case encoded(ref):
 			return pinned[ref]
 		}
-		return gateVar[ref]
+		return shared.gateVars[ref]
 	}
 	// bindPinned ties an alias-encoded gate's variable to its pinned
 	// feedback variable.
@@ -146,6 +180,10 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 	}
 
 	for id, g := range c.Gates {
+		if !encoded(id) {
+			gateVar[id] = shared.gateVars[id]
+			continue
+		}
 		switch g.Kind {
 		case netlist.GInput:
 			gateVar[id] = inputs[in]
@@ -166,12 +204,9 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 			bindPinned(id)
 			continue
 		}
-		y, havePin := 0, false
-		if pinned != nil {
-			y, havePin = pinned[id]
-		}
+		y, havePin := pinned[id]
 		if !havePin {
-			y = s.NewVar()
+			y = e.S.NewVar()
 		}
 		gateVar[id] = y
 		a := fanin(g.A, id)
@@ -215,10 +250,11 @@ func (e *Encoder) Encode(c *netlist.Circuit, inputs, keys []int) (*Instance, err
 	inst := &Instance{
 		Inputs:   inputs,
 		Keys:     keys,
+		Outputs:  make([]int, len(c.Outputs)),
 		gateVars: gateVar,
 	}
-	for _, o := range c.Outputs {
-		inst.Outputs = append(inst.Outputs, gateVar[o])
+	for i, o := range c.Outputs {
+		inst.Outputs[i] = gateVar[o]
 	}
 	return inst, nil
 }
@@ -252,136 +288,6 @@ func keyCone(c *netlist.Circuit) []bool {
 		}
 	}
 	return dep
-}
-
-// EncodeShared instantiates a second key copy of c against prev, a full
-// Encode of the same circuit in this encoder. Only the key cone — gates
-// whose value can depend on a key bit — is re-encoded on fresh variables
-// with a fresh key bus; every net outside the cone aliases prev's variable
-// outright. The copies are miter-equivalent to two full Encode calls over a
-// shared input bus, but the solver sees the shared logic once, so proving
-// the final "no distinguishing input remains" UNSAT no longer requires
-// re-deriving the equality of two syntactically disjoint copies of the
-// whole datapath.
-func (e *Encoder) EncodeShared(c *netlist.Circuit, prev *Instance) (*Instance, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if prev == nil || len(prev.gateVars) != len(c.Gates) {
-		return nil, fmt.Errorf("cnf: shared encode against a foreign instance")
-	}
-	keys := e.FreshVars(len(c.Keys))
-	dep := keyCone(c)
-
-	s := e.S
-	gateVar := make([]int, len(c.Gates))
-	key := 0
-	pos := func(v int) sat.Lit { return sat.NewLit(v, false) }
-	neg := func(v int) sat.Lit { return sat.NewLit(v, true) }
-
-	// Only key-dependent feedback sources need this copy's own pinned
-	// variable; a cone-external source resolves to prev's settled variable.
-	var pinned map[int]int
-	if len(c.Feedback) > 0 {
-		pinned = make(map[int]int, len(c.Feedback))
-		for _, fe := range c.Feedback {
-			if _, ok := pinned[fe.From]; !ok && dep[fe.From] {
-				pinned[fe.From] = s.NewVar()
-			}
-		}
-	}
-	fanin := func(ref, id int) int {
-		if !dep[ref] {
-			return prev.gateVars[ref]
-		}
-		if ref >= id {
-			return pinned[ref]
-		}
-		return gateVar[ref]
-	}
-	bindPinned := func(id int) {
-		if pv, ok := pinned[id]; ok && pv != gateVar[id] {
-			e.add(neg(pv), pos(gateVar[id]))
-			e.add(pos(pv), neg(gateVar[id]))
-		}
-	}
-
-	for id, g := range c.Gates {
-		if !dep[id] {
-			gateVar[id] = prev.gateVars[id]
-			if g.Kind == netlist.GKey {
-				// Unreachable (a key gate is always in its own cone), but
-				// keep the bus walk aligned if that ever changes.
-				key++
-			}
-			continue
-		}
-		switch g.Kind {
-		case netlist.GKey:
-			gateVar[id] = keys[key]
-			key++
-			bindPinned(id)
-			continue
-		case netlist.GBuf:
-			gateVar[id] = fanin(g.A, id)
-			bindPinned(id)
-			continue
-		}
-		y, havePin := 0, false
-		if pinned != nil {
-			y, havePin = pinned[id]
-		}
-		if !havePin {
-			y = s.NewVar()
-		}
-		gateVar[id] = y
-		a := fanin(g.A, id)
-		switch g.Kind {
-		case netlist.GNot:
-			e.add(pos(y), pos(a))
-			e.add(neg(y), neg(a))
-		case netlist.GAnd, netlist.GNand:
-			b := fanin(g.B, id)
-			yp, yn := pos(y), neg(y)
-			if g.Kind == netlist.GNand {
-				yp, yn = yn, yp
-			}
-			e.add(yn, pos(a))
-			e.add(yn, pos(b))
-			e.add(yp, neg(a), neg(b))
-		case netlist.GOr, netlist.GNor:
-			b := fanin(g.B, id)
-			yp, yn := pos(y), neg(y)
-			if g.Kind == netlist.GNor {
-				yp, yn = yn, yp
-			}
-			e.add(yp, neg(a))
-			e.add(yp, neg(b))
-			e.add(yn, pos(a), pos(b))
-		case netlist.GXor, netlist.GXnor:
-			b := fanin(g.B, id)
-			yp, yn := pos(y), neg(y)
-			if g.Kind == netlist.GXnor {
-				yp, yn = yn, yp
-			}
-			e.add(yn, pos(a), pos(b))
-			e.add(yn, neg(a), neg(b))
-			e.add(yp, pos(a), neg(b))
-			e.add(yp, neg(a), pos(b))
-		default:
-			return nil, fmt.Errorf("cnf: unsupported gate kind %v", g.Kind)
-		}
-	}
-
-	inst := &Instance{
-		Inputs:   prev.Inputs,
-		Keys:     keys,
-		gateVars: gateVar,
-	}
-	for _, o := range c.Outputs {
-		inst.Outputs = append(inst.Outputs, gateVar[o])
-	}
-	return inst, nil
 }
 
 // FixVar pins an existing solver variable to a constant.
@@ -418,15 +324,6 @@ func (e *Encoder) CycleClauses(keyVars []int, clauses []netlist.CycleClause) err
 		e.S.AddClause(e.lits...)
 	}
 	return nil
-}
-
-// AtLeastOne adds a clause requiring one of the variables to be true.
-func (e *Encoder) AtLeastOne(vars []int) {
-	e.lits = e.lits[:0]
-	for _, v := range vars {
-		e.lits = append(e.lits, sat.NewLit(v, false))
-	}
-	e.S.AddClause(e.lits...)
 }
 
 // GuardedAtLeastOne allocates a fresh guard variable g and adds the clause

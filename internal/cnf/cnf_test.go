@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bindlock/internal/netlist"
+	"bindlock/internal/sat"
 )
 
 // TestEncodeMatchesEval checks Tseitin correctness: for every gate kind, a
@@ -137,8 +138,8 @@ func TestSharedBusEncoding(t *testing.T) {
 	for i := range diffs {
 		diffs[i] = e.XorVar(i1.Outputs[i], i2.Outputs[i])
 	}
-	e.AtLeastOne(diffs)
-	ok, err := e.S.Solve(context.Background())
+	g := e.GuardedAtLeastOne(diffs)
+	ok, err := e.S.SolveAssuming(context.Background(), sat.NewLit(g, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package codesign
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"bindlock/internal/locking"
 	"bindlock/internal/mediabench"
 	"bindlock/internal/metrics"
+	"bindlock/internal/parallel"
 	"bindlock/internal/progress"
 	"bindlock/internal/sim"
 	"errors"
@@ -361,15 +363,50 @@ func TestMethodology(t *testing.T) {
 	}
 }
 
+// firedDeadline is a context whose deadline expires when fire is called, not
+// at a wall-clock time: from then on Err reports context.DeadlineExceeded, so
+// a test can land a deadline at a chosen point of a search however fast or
+// loaded the machine is.
+type firedDeadline struct {
+	context.Context
+	done chan struct{}
+	once sync.Once
+	at   time.Time // when fire closed done
+}
+
+func newFiredDeadline() *firedDeadline {
+	return &firedDeadline{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *firedDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *firedDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+func (c *firedDeadline) fire() {
+	c.once.Do(func() {
+		c.at = time.Now()
+		close(c.done)
+	})
+}
+
 // TestOptimalCancellationMidSearch: an intractably large exact enumeration
 // under a deadline must return promptly with the best-so-far co-design
-// solution attached to a typed budget error.
+// solution attached to a typed budget error. The deadline fires from the
+// search's own progress once a first FU-0 shard has completed, so a
+// best-so-far exists when it lands on every run, under -race and next to
+// other busy test binaries too.
 func TestOptimalCancellationMidSearch(t *testing.T) {
 	g, k := fig1(t)
-	// 30 candidates choose 3, over 2 locked FUs: 4060^2 ≈ 16.5M evaluations.
-	// Even at the sweep's few nanoseconds per leaf that is far more than the
-	// deadline, while each FU-0 subtree (4060 leaves) completes well inside
-	// it, under -race too, so a best-so-far exists when the deadline lands.
+	// 30 candidates choose 3, over 2 locked FUs: 4060^2 ≈ 16.5M evaluations
+	// in 4060 FU-0 shards of 4060 leaves each, far more than the search runs
+	// before the deadline.
 	var cands []dfg.Minterm
 	for i := 0; i < 30; i++ {
 		cands = append(cands, dfg.CanonMinterm(dfg.Add, uint8(10+i), uint8(40+i)))
@@ -379,25 +416,32 @@ func TestOptimalCancellationMidSearch(t *testing.T) {
 		Candidates: cands, Scheme: locking.SFLLRem,
 		MaxEnumerations: 1 << 30,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
+	// Each shard reserves its leaves' progress ticks when it starts. With
+	// two workers, a tick past the first two shards' leaves comes from a
+	// third shard, which a worker pulls only after finishing one.
+	const workers, shardLeaves = 2, 4060
+	deadline := newFiredDeadline()
+	ctx := progress.NewContext(parallel.NewContext(deadline, workers), progress.Func(func(e progress.Event) {
+		if e.Kind == progress.Step && e.Done > workers*shardLeaves {
+			deadline.fire()
+		}
+	}))
 	res, err := Optimal(ctx, g, k, o)
-	elapsed := time.Since(start)
+	returned := time.Now()
 	if err == nil {
 		t.Fatal("deadline must interrupt the optimal search")
 	}
 	if !errors.Is(err, interrupt.ErrBudgetExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v; want budget/deadline semantics", err)
 	}
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("optimal returned after %v; want < 100ms", elapsed)
+	if elapsed := returned.Sub(deadline.at); elapsed > 100*time.Millisecond {
+		t.Errorf("optimal returned %v after the deadline; want < 100ms", elapsed)
 	}
 	if res == nil {
 		t.Fatal("interrupted optimal search must return its best-so-far result")
 	}
-	if res.Enumerated == 0 {
-		t.Error("partial result reports zero evaluated combinations")
+	if res.Enumerated < shardLeaves {
+		t.Errorf("partial result reports %d evaluated combinations, want at least one whole shard of %d", res.Enumerated, shardLeaves)
 	}
 	if res.Cfg == nil || res.Binding == nil {
 		t.Error("partial result must be bound and costed")
@@ -405,7 +449,7 @@ func TestOptimalCancellationMidSearch(t *testing.T) {
 	if p, ok := interrupt.Partial[*Result](err); !ok || p != res {
 		t.Errorf("error must carry the partial result: %v %v", p, ok)
 	}
-	t.Logf("optimal interrupted after %d evaluations in %v", res.Enumerated, elapsed)
+	t.Logf("optimal interrupted after %d evaluations", res.Enumerated)
 }
 
 // TestHeuristicExplicitCancel: cancelling mid-heuristic returns the FUs

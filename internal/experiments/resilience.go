@@ -155,7 +155,7 @@ type EpsilonSweepRow struct {
 // h while the key length stays fixed, and both Eqn. 1's λ and the measured
 // attack iterations collapse accordingly. This is the empirical form of the
 // dilemma the paper's binding co-design escapes: more corruption at the
-// module level costs SAT resilience.
+// module level costs SAT resilience. Every recovered key must pass VerifyKey.
 func EpsilonSweep(ctx context.Context, hs []int, secretsPer int, seed int64) ([]EpsilonSweepRow, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -192,6 +192,9 @@ func EpsilonSweep(ctx context.Context, hs []int, secretsPer int, seed int64) ([]
 		oracle := satattack.OracleFromCircuit(lockedC, keyBitsPattern)
 		res, err := satattack.Attack(tctx, lockedC, oracle, satattack.Options{})
 		if err != nil {
+			return 0, err
+		}
+		if err := satattack.VerifyKey(tctx, lockedC, res.Key, oracle); err != nil {
 			return 0, err
 		}
 		return res.Iterations, nil

@@ -3,6 +3,7 @@ package satattack
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"bindlock/internal/interrupt"
@@ -37,28 +38,40 @@ func (c *countingBackend) SetMaxConflicts(n int64) {
 	c.Backend.SetMaxConflicts(n)
 }
 
+// TestResolveBackendDefaults: with neither Solver nor Backend set, the
+// attack solves on the default engine and labels its transcript with the
+// default's name, so the checkpoint resumes under an explicit "cdcl" too.
 func TestResolveBackendDefaults(t *testing.T) {
-	f, name, err := resolveBackend("", nil, 0)
+	locked, key := lockedAdder(t, 3)
+	path := filepath.Join(t.TempDir(), "a.ckpt")
+	if _, err := Attack(context.Background(), locked, OracleFromCircuit(locked, key),
+		Options{CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LoadCheckpoint(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != sat.DefaultBackend {
-		t.Fatalf("name = %q, want default %q", name, sat.DefaultBackend)
-	}
-	if _, ok := f().(*sat.Solver); !ok {
-		t.Fatalf("default factory built %T, want *sat.Solver", f())
+	if cp.Solver != sat.DefaultBackend {
+		t.Fatalf("checkpoint solver = %q, want default %q", cp.Solver, sat.DefaultBackend)
 	}
 }
 
 func TestResolveBackendUnknownName(t *testing.T) {
-	if _, _, err := resolveBackend("no-such-engine", nil, 0); err == nil {
+	locked, key := lockedAdder(t, 3)
+	_, err := Attack(context.Background(), locked, OracleFromCircuit(locked, key),
+		Options{Solver: "no-such-engine"})
+	if err == nil {
 		t.Fatal("unknown backend name resolved without error")
+	}
+	if errors.Is(err, interrupt.ErrCancelled) || errors.Is(err, interrupt.ErrBudgetExceeded) {
+		t.Fatalf("unknown backend reported as an interruption: %v", err)
 	}
 }
 
 // TestResolveBackendAppliesMaxConflicts pins the Options.MaxConflicts
-// propagation: every solver the resolved factory builds — miter, key
-// extractor, transcript rebuild — must carry the per-call conflict bound.
+// propagation: every solver the attack builds from an explicit Backend —
+// the miter and the key extractor — must carry the per-call conflict bound.
 func TestResolveBackendAppliesMaxConflicts(t *testing.T) {
 	var built []*countingBackend
 	explicit := func() sat.Backend {
@@ -66,21 +79,18 @@ func TestResolveBackendAppliesMaxConflicts(t *testing.T) {
 		built = append(built, b)
 		return b
 	}
-	f, name, err := resolveBackend("", explicit, 7)
-	if err != nil {
+	locked, key := lockedAdder(t, 3)
+	const bound = 1 << 20
+	if _, err := Attack(context.Background(), locked, OracleFromCircuit(locked, key),
+		Options{Backend: explicit, MaxConflicts: bound}); err != nil {
 		t.Fatal(err)
 	}
-	if name != sat.DefaultBackend {
-		t.Fatalf("name = %q, want %q", name, sat.DefaultBackend)
-	}
-	f()
-	f()
 	if len(built) != 2 {
-		t.Fatalf("explicit factory built %d backends, want 2", len(built))
+		t.Fatalf("explicit factory built %d backends, want 2 (miter and key solver)", len(built))
 	}
 	for i, b := range built {
-		if b.maxConflicts != 7 {
-			t.Fatalf("backend %d has maxConflicts %d, want 7", i, b.maxConflicts)
+		if b.maxConflicts != bound {
+			t.Fatalf("backend %d has maxConflicts %d, want %d", i, b.maxConflicts, bound)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestCheckpointCycleBreakMismatch(t *testing.T) {
 		}
 		oracle = OracleFromCircuit(locked, key)
 		res, err := Attack(context.Background(), locked, oracle,
-			Options{CycleBreak: true, CheckpointPath: path, CheckpointEvery: 1})
+			Options{CycleBreak: true, CheckpointPath: path})
 		if err != nil {
 			t.Fatal(err)
 		}

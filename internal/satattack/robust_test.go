@@ -498,7 +498,7 @@ func TestAttackCheckpointResume(t *testing.T) {
 		}
 	})
 	_, err = Attack(progress.NewContext(ctx, hook), locked, oracle,
-		Options{CheckpointPath: path, CheckpointEvery: 1})
+		Options{CheckpointPath: path})
 	if err == nil {
 		t.Fatal("cancelled attack must not complete")
 	}
@@ -585,7 +585,6 @@ func cancelAt(t *testing.T, k int, locked *netlist.Circuit, oracle Oracle, opts 
 			cancel()
 		}
 	})
-	opts.CheckpointEvery = 1
 	if _, err := Attack(progress.NewContext(ctx, hook), locked, oracle, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("attack cancelled at DIP %d returned %v", k, err)
 	}
@@ -713,7 +712,7 @@ func TestCheckpointJournalAppendsInPlace(t *testing.T) {
 		size = fi.Size()
 	})
 	res, err := Attack(progress.NewContext(context.Background(), hook), locked, oracle,
-		Options{CheckpointPath: path, CheckpointEvery: 1})
+		Options{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ type Options struct {
 	// MaxIterations bounds the DIP loop (default 1 << 20).
 	MaxIterations int
 	// MaxConflicts bounds each SAT call (default sat.DefaultMaxConflicts).
-	// It is routed through the backend factory, so both solvers the attack
-	// creates — the miter and the key extractor — are bounded consistently.
+	// It is applied to every solver the attack creates — the miter and the
+	// key extractor — so both are bounded consistently.
 	MaxConflicts int64
 	// Solver names the registered sat backend to solve with ("" means
 	// sat.DefaultBackend). The name is recorded in checkpoints so a
@@ -105,13 +105,10 @@ type Options struct {
 	// majority fails the query with ErrNoQuorum.
 	Quorum int
 	// CheckpointPath, when set, makes the attack journal its oracle
-	// transcript (DIPs, answers, oracle-call counts) to this file, so a
-	// killed attack can be resumed bit-identically. The first write
-	// creates the file atomically; later writes append.
+	// transcript (DIPs, answers, oracle-call counts) to this file after
+	// every DIP, so a killed attack can be resumed bit-identically. The
+	// first write creates the file atomically; later writes append.
 	CheckpointPath string
-	// CheckpointEvery is the iteration interval between checkpoint writes
-	// (default 1: every iteration).
-	CheckpointEvery int
 	// CheckpointKey, when non-nil, MACs every journal line with the node
 	// key (a chained hmac-sha256); loading with the same key then rejects
 	// any tampered file as a mismatch. nil writes digest-only checkpoints
@@ -152,33 +149,6 @@ func normalizeSolver(name string) string {
 	return name
 }
 
-// resolveBackend turns a backend name (or an explicit factory, which wins)
-// into the factory the attack builds every solver from, plus the backend
-// name to label transcripts with. The factory applies maxConflicts to every
-// solver it creates, so the miter and the key extractor share one consistent
-// per-call bound.
-func resolveBackend(name string, f sat.Factory, maxConflicts int64) (sat.Factory, string, error) {
-	if f == nil {
-		var err error
-		if f, err = sat.BackendFactory(name); err != nil {
-			return nil, "", err
-		}
-	}
-	if maxConflicts > 0 {
-		inner := f
-		f = func() sat.Backend {
-			b := inner()
-			b.SetMaxConflicts(maxConflicts)
-			return b
-		}
-	}
-	return f, normalizeSolver(name), nil
-}
-
-func (o Options) backendFactory() (sat.Factory, string, error) {
-	return resolveBackend(o.Solver, o.Backend, o.MaxConflicts)
-}
-
 // Attack runs the SAT attack against the locked circuit using the oracle.
 // Cancellation is checked before every DIP iteration and inside each solver
 // call. An interrupted attack — context cancelled, deadline expired, or
@@ -200,15 +170,25 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	if maxIter == 0 {
 		maxIter = 1 << 20
 	}
-	ckEvery := opts.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 1
+	// Every solver the attack builds — the miter and the key extractor —
+	// comes from one factory (an explicit Backend wins over the Solver name)
+	// and carries the same per-call conflict bound. solverName labels
+	// transcripts.
+	factory := opts.Backend
+	if factory == nil {
+		var err error
+		if factory, err = sat.BackendFactory(opts.Solver); err != nil {
+			return nil, err
+		}
 	}
-
-	factory, solverName, err := opts.backendFactory()
-	if err != nil {
-		return nil, err
+	newSolver := func() sat.Backend {
+		b := factory()
+		if opts.MaxConflicts > 0 {
+			b.SetMaxConflicts(opts.MaxConflicts)
+		}
+		return b
 	}
+	solverName := normalizeSolver(opts.Solver)
 
 	hook := progress.FromContext(ctx)
 	progress.Start(hook, "attack", locked.Name)
@@ -234,7 +214,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	// that the guard holds, so the solver stays warm across iterations and
 	// the guard never contaminates the learned-clause DB when the key space
 	// collapses.
-	me := cnf.NewEncoderBackend(factory())
+	me := cnf.NewEncoderBackend(newSolver())
 	inst1, err := me.Encode(locked, nil, nil)
 	if err != nil {
 		return nil, err
@@ -345,7 +325,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		}
 		releaseMiter()
 		var err error
-		ke, keyVars, err = buildKeySolver(factory(), locked, cycleClauses, res.DIPs, answers)
+		ke, keyVars, err = buildKeySolver(newSolver(), locked, cycleClauses, res.DIPs, answers)
 		return err
 	}
 	// extractKey solves the key solver for a best-effort key guess,
@@ -462,34 +442,26 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		answers = append(answers, outs)
 
 		// Constrain both miter key copies with the observed I/O behaviour.
-		inBits := me.ConstVars(dip)
-		for _, kv := range [][]int{inst1.Keys, inst2.Keys} {
-			ci, err := me.Encode(locked, inBits, kv)
-			if err != nil {
-				stopIter()
-				return nil, err
-			}
-			for i, ov := range ci.Outputs {
-				me.FixVar(ov, outs[i])
-			}
+		if err := constrainIO(me, locked, dip, outs, inst1.Keys, inst2.Keys); err != nil {
+			stopIter()
+			return nil, err
 		}
 		stopIter()
 
 		// Checkpoint before the progress event: a hook that cancels on
 		// seeing iteration k then finds the file holding exactly k
 		// iterations, which is what the resume tests rely on.
-		if res.Iterations%ckEvery == 0 {
-			if err := saveCheckpoint(); err != nil {
-				return nil, err
-			}
+		if err := saveCheckpoint(); err != nil {
+			return nil, err
 		}
 		progress.Emit(hook, progress.Event{
 			Kind: progress.Step, Phase: "attack",
 			Done: res.Iterations, Total: maxIter, Detail: "DIP",
 		})
 	}
-	// Flush the transcript tail so the file always reflects the final state,
-	// whatever interval the writes were on.
+	// Flush whatever is still unsaved so the file always reflects the final
+	// state: a resumed run whose first solve finds no DIP still holds its
+	// replayed records.
 	if err := saveCheckpoint(); err != nil {
 		return nil, err
 	}
@@ -530,15 +502,28 @@ func buildKeySolver(b sat.Backend, locked *netlist.Circuit, cycle []netlist.Cycl
 		return nil, nil, err
 	}
 	for d, outs := range answers {
-		ci, err := ke.Encode(locked, ke.ConstVars(dips[d]), keyVars)
-		if err != nil {
+		if err := constrainIO(ke, locked, dips[d], outs, keyVars); err != nil {
 			return nil, nil, err
-		}
-		for i, ov := range ci.Outputs {
-			ke.FixVar(ov, outs[i])
 		}
 	}
 	return ke, keyVars, nil
+}
+
+// constrainIO adds one answered DIP's I/O constraint over each key bus: a
+// copy of the locked circuit on the DIP's constant inputs, its outputs fixed
+// to the oracle's answer.
+func constrainIO(e *cnf.Encoder, locked *netlist.Circuit, dip, answer []bool, keyBuses ...[]int) error {
+	in := e.ConstVars(dip)
+	for _, keys := range keyBuses {
+		ci, err := e.Encode(locked, in, keys)
+		if err != nil {
+			return err
+		}
+		for i, ov := range ci.Outputs {
+			e.FixVar(ov, answer[i])
+		}
+	}
+	return nil
 }
 
 // keyValues reads the key bus out of a satisfied key solver.

@@ -263,11 +263,15 @@ func codesignPayload(r *resolved, candidates int, res *bindlock.CoDesignResult) 
 }
 
 // runAttack mirrors the facade's LockAndAttack, run directly over the
-// gate-level stack so the recovered key lands in the result payload. When a
+// gate-level stack because the daemon owns its checkpoints. When a
 // checkpoint directory is configured the attack persists its oracle
 // transcript under the job's fingerprint key; a resubmission after a drain
 // or crash resumes from it and — by the transcript-replay contract —
-// recovers a bit-identical key.
+// recovers a bit-identical key. Unlike the facade, which fails on a bad
+// checkpoint, runAttack reads the file through the fault injector's
+// corruption site, answers a rejected or diverging transcript with a cold
+// restart (file dropped, the context's injector rewound to call zero), and
+// deletes the transcript once the key verifies.
 func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 	r := j.req
 	base, err := netlist.NewAdder(r.OperandBits)
@@ -288,10 +292,9 @@ func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 		return nil, err
 	}
 	opts := satattack.Options{
-		CheckpointEvery: m.cfg.CheckpointEvery,
-		CheckpointKey:   m.cfg.CheckpointKey,
-		Solver:          r.Solver,
-		CycleBreak:      r.Scheme == SchemeCyclic,
+		CheckpointKey: m.cfg.CheckpointKey,
+		Solver:        r.Solver,
+		CycleBreak:    r.Scheme == SchemeCyclic,
 	}
 	// coldRestart marks a checkpoint that existed but was rejected
 	// (corrupt, tampered, foreign): the resume is abandoned and the fault

@@ -58,13 +58,9 @@ type Config struct {
 	// bit-identical at any setting).
 	JobParallelism int
 	// CheckpointDir, when set, makes attack jobs journal their oracle
-	// transcript there (appended every CheckpointEvery iterations) and
-	// resume from it when an identical request is resubmitted after a
-	// drain or crash.
+	// transcript there (appended after every DIP) and resume from it when
+	// an identical request is resubmitted after a drain or crash.
 	CheckpointDir string
-	// CheckpointEvery is the iteration interval between checkpoint writes
-	// (default 1).
-	CheckpointEvery int
 	// CheckpointKey, when non-nil, MACs every checkpoint write with this
 	// node secret and requires a valid MAC at load: a tampered or foreign
 	// .ckpt is rejected (resume_checkpoints_rejected_total) and the attack
@@ -148,9 +144,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.JobParallelism <= 0 {
 		cfg.JobParallelism = 1
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
 	}
 	if cfg.CheckpointRetainAge == 0 {
 		if cfg.RetainAge > 0 {

@@ -177,7 +177,7 @@ func TestResumeDeterminismMediabench(t *testing.T) {
 			oracle := satattack.OracleFromCircuit(ed.Circuit, ed.CorrectKey)
 			_, err := satattack.Attack(progress.NewContext(ctx, hook), ed.Circuit, oracle,
 				satattack.Options{
-					MaxIterations: resumeMaxIters, CheckpointPath: path, CheckpointEvery: 1,
+					MaxIterations: resumeMaxIters, CheckpointPath: path,
 				})
 			if err == nil || !errors.Is(err, ErrCancelled) {
 				t.Fatalf("killed attack returned %v, want cancellation", err)

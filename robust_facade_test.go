@@ -74,7 +74,7 @@ func TestLockAndAttackCheckpointResume(t *testing.T) {
 		}
 	})
 	_, err = LockAndAttack(WithProgressContext(ctx, hook), width, secret,
-		WithCheckpoint(path, 1))
+		WithCheckpoint(path))
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("killed attack returned %v, want ErrCancelled", err)
 	}
