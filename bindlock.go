@@ -179,10 +179,6 @@ type (
 	// hard outage windows and named infrastructure fail-points. The zero
 	// value injects nothing.
 	FaultPlan = fault.Plan
-	// FaultInjector realises a FaultPlan. Every fault is a pure function of
-	// (seed, call index), so schedules replay exactly and survive
-	// checkpoint resume via Seek.
-	FaultInjector = fault.Injector
 	// RetryPolicy tunes per-oracle-query retry: attempt budget and
 	// exponential backoff with seeded jitter.
 	RetryPolicy = satattack.RetryPolicy
@@ -200,14 +196,11 @@ var ErrOracleUnavailable = satattack.ErrOracleUnavailable
 // An empty spec is the zero plan.
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.Parse(spec) }
 
-// NewFaultInjector returns an injector realising the plan.
-func NewFaultInjector(p FaultPlan) *FaultInjector { return fault.New(p) }
-
-// WithFaultPlanContext returns a context carrying an injector for the plan;
-// fail-point sites downstream (the SAT solver's "sat.solve", the workload
-// simulator's "sim.run") consult it. The injector counts its faults in the
-// context's metrics registry, so attach metrics first. A zero plan returns
-// ctx unchanged.
+// WithFaultPlanContext returns a context carrying an injector for the plan:
+// every attack downstream queries its oracle through it, and the fail-point
+// sites (the SAT solver's "sat.solve", the workload simulator's "sim.run")
+// consult it. The injector counts its faults in the context's metrics
+// registry, so attach metrics first. A zero plan returns ctx unchanged.
 func WithFaultPlanContext(ctx context.Context, p FaultPlan) context.Context {
 	if p.Zero() {
 		return ctx
@@ -608,13 +601,18 @@ func (d *Design) Elaborate(bindings map[Class]*Binding, cfg *LockConfig) (*Elabo
 	return elaborate.Design(d.G, bindings, cfg)
 }
 
-// AttackOption configures the SAT-attack run of LockAndAttack.
+// AttackOption configures the SAT-attack run of LockAndAttack and AttackDesign.
 type AttackOption func(*attackConfig)
 
 type attackConfig struct {
 	opts       satattack.Options
-	plan       FaultPlan
 	resumePath string
+	cyclic     *cyclicLock // set by WithCyclicLock
+}
+
+type cyclicLock struct {
+	cycles, decoys int
+	seed           int64
 }
 
 // WithAttackRetry makes every oracle query resilient: up to
@@ -652,11 +650,13 @@ func WithCheckpointKey(key []byte) AttackOption {
 	return func(c *attackConfig) { c.opts.CheckpointKey = key }
 }
 
-// WithFaultPlan interposes a deterministic fault injector between the attack
-// and its oracle — the library's own chaos harness. Pair it with
-// WithAttackRetry and WithAttackVoting to ride out the injected faults.
-func WithFaultPlan(p FaultPlan) AttackOption {
-	return func(c *attackConfig) { c.plan = p }
+// WithCyclicLock attacks an SRCLock-style cyclic lock instead of the
+// target's own: `cycles` key-programmed feedback MUXes plus `decoys` acyclic
+// decoy MUXes, placement drawn from seed (netlist.LockCyclic). The CycSAT
+// cycle-breaking constraints are always on: they are what let the attack
+// terminate where the plain one diverges.
+func WithCyclicLock(cycles, decoys int, seed int64) AttackOption {
+	return func(c *attackConfig) { c.cyclic = &cyclicLock{cycles: cycles, decoys: decoys, seed: seed} }
 }
 
 // WithSolverBackend selects the sat solver engine by registered name; see
@@ -689,13 +689,14 @@ const DefaultSolverBackend = sat.DefaultBackend
 // width, locks it with SFLL-HD(0) protecting the secret minterm, and runs
 // the full oracle-guided SAT attack against it. It validates that the
 // recovered key is functionally correct and reports the measured effort —
-// the empirical side of Eqn. 1.
+// the empirical side of Eqn. 1. Under WithCyclicLock the adder is locked
+// cyclically instead and the secret is ignored.
 //
 // A context deadline bounds the attack: on interruption the partial
 // AttackOutcome (DIP iterations completed so far) is returned alongside a
 // typed error matching ErrBudgetExceeded or ErrCancelled. AttackOptions add
-// the robustness surface: oracle retry, per-DIP voting, fault injection and
-// checkpoint/resume.
+// the robustness surface: oracle retry, per-DIP voting and
+// checkpoint/resume; faults come from a WithFaultPlanContext context.
 func LockAndAttack(ctx context.Context, operandBits int, secret uint64, options ...AttackOption) (*AttackOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -708,6 +709,9 @@ func LockAndAttack(ctx context.Context, operandBits int, secret uint64, options 
 	if err != nil {
 		return nil, err
 	}
+	if cfg.cyclic != nil {
+		return runGateAttack(ctx, base, nil, cfg, "bindlock: lock and attack")
+	}
 	locked, key, err := netlist.LockSFLLHD0(base, []uint64{secret})
 	if err != nil {
 		return nil, err
@@ -715,70 +719,15 @@ func LockAndAttack(ctx context.Context, operandBits int, secret uint64, options 
 	return runGateAttack(ctx, locked, key, cfg, "bindlock: lock and attack")
 }
 
-// CyclicLockAndAttack synthesises a gate-level adder FU of the given operand
-// width, locks it with SRCLock-style cyclic obfuscation — `cycles`
-// key-programmed feedback MUXes plus `decoys` acyclic decoy MUXes, placement
-// drawn from seed — and runs the CycSAT-constrained oracle-guided attack
-// against it. The cycle-breaking constraints are always on: this function
-// exists to demonstrate that the constrained attack terminates where the
-// plain one (LockAndAttack's machinery) diverges.
-func CyclicLockAndAttack(ctx context.Context, operandBits, cycles, decoys int, seed int64, options ...AttackOption) (*AttackOutcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	base, err := netlist.NewAdder(operandBits)
-	if err != nil {
-		return nil, err
-	}
-	locked, key, err := netlist.LockCyclic(base, cycles, decoys, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := resolveCyclicAttack(ctx, locked, options)
-	return runGateAttack(ctx, locked, key, cfg, "bindlock: cyclic lock and attack")
-}
-
-// AttackDesignCyclic cyclically locks an elaborated *unlocked* design (built
-// with a nil LockConfig, so the datapath carries no SFLL keys) and runs the
-// CycSAT-constrained attack against it. The elaborated circuit is not
-// mutated; the locked copy and its correct key live only inside the attack.
-func AttackDesignCyclic(ctx context.Context, ed *ElaboratedDesign, cycles, decoys int, seed int64, options ...AttackOption) (*AttackOutcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ed == nil || ed.Circuit == nil {
-		return nil, fmt.Errorf("bindlock: attack design cyclic: nil elaborated design")
-	}
-	if len(ed.CorrectKey) != 0 {
-		return nil, fmt.Errorf("bindlock: attack design cyclic: design already carries %d key bits; elaborate with a nil lock config", len(ed.CorrectKey))
-	}
-	locked, key, err := netlist.LockCyclic(ed.Circuit, cycles, decoys, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := resolveCyclicAttack(ctx, locked, options)
-	return runGateAttack(ctx, locked, key, cfg, "bindlock: attack design cyclic")
-}
-
-// resolveCyclicAttack applies the options, forces cycle breaking on, and
-// records how many feedback edges the lock inserted.
-func resolveCyclicAttack(ctx context.Context, locked *netlist.Circuit, options []AttackOption) attackConfig {
-	var cfg attackConfig
-	for _, o := range options {
-		o(&cfg)
-	}
-	cfg.opts.CycleBreak = true
-	metrics.FromContext(ctx).Add("cyclock_cycles_inserted", int64(len(locked.Feedback)))
-	return cfg
-}
-
 // AttackDesign runs the oracle-guided SAT attack against an elaborated
 // design — the whole bound datapath with its locked FUs realised as SFLL
 // hardware — instead of a single synthetic FU. The same option surface as
-// LockAndAttack applies: retry, voting, fault injection, checkpoint/resume
-// and solver backend. Full attacks on paper-sized locking configurations are
-// expensive by design (that is Eqn. 1's point); bound exploratory runs with
-// WithAttackIterations or a context deadline, and read the partial outcome.
+// LockAndAttack applies: retry, voting, checkpoint/resume, solver backend
+// and WithCyclicLock, which needs a design elaborated unlocked (nil
+// LockConfig) and attacks a cyclically locked copy of it. Full attacks on
+// paper-sized locking configurations are expensive by design (that is
+// Eqn. 1's point); bound exploratory runs with WithAttackIterations or a
+// context deadline, and read the partial outcome.
 func AttackDesign(ctx context.Context, ed *ElaboratedDesign, options ...AttackOption) (*AttackOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -790,13 +739,27 @@ func AttackDesign(ctx context.Context, ed *ElaboratedDesign, options ...AttackOp
 	for _, o := range options {
 		o(&cfg)
 	}
+	if cfg.cyclic != nil && len(ed.CorrectKey) != 0 {
+		return nil, fmt.Errorf("bindlock: attack design cyclic: design already carries %d key bits; elaborate with a nil lock config", len(ed.CorrectKey))
+	}
 	return runGateAttack(ctx, ed.Circuit, ed.CorrectKey, cfg, "bindlock: attack design")
 }
 
 // runGateAttack is the shared attack driver behind LockAndAttack and
-// AttackDesign: checkpoint resume, optional fault injection, the attack
-// itself, and key verification on a completed run.
+// AttackDesign: WithCyclicLock's lock of the unlocked circuit (cycle
+// breaking forced on), checkpoint resume, the attack itself, and key
+// verification on a completed run. The attack queries the oracle through
+// the context's fault injector; the verification queries it directly, a
+// bench check under good conditions rather than another noisy query.
 func runGateAttack(ctx context.Context, locked *netlist.Circuit, correctKey []bool, cfg attackConfig, op string) (*AttackOutcome, error) {
+	if c := cfg.cyclic; c != nil {
+		var err error
+		if locked, correctKey, err = netlist.LockCyclic(locked, c.cycles, c.decoys, c.seed); err != nil {
+			return nil, err
+		}
+		cfg.opts.CycleBreak = true
+		metrics.FromContext(ctx).Add("cyclock_cycles_inserted", int64(len(locked.Feedback)))
+	}
 	if cfg.resumePath != "" {
 		cp, err := satattack.LoadCheckpoint(cfg.resumePath, cfg.opts.CheckpointKey)
 		if err != nil {
@@ -804,19 +767,7 @@ func runGateAttack(ctx context.Context, locked *netlist.Circuit, correctKey []bo
 		}
 		cfg.opts.Resume = cp
 	}
-	// clean stays unwrapped: the final key verification models a bench
-	// check under good conditions, not another noisy campaign query.
-	clean := satattack.OracleFromCircuit(locked, correctKey)
-	oracle := clean
-	if !cfg.plan.Zero() {
-		inj := fault.New(cfg.plan).WithRegistry(metrics.FromContext(ctx))
-		if cfg.opts.Resume != nil {
-			// Keep the injected schedule aligned with the interrupted run:
-			// calls answered before the checkpoint are not re-drawn.
-			inj.Seek(cfg.opts.Resume.OracleCalls)
-		}
-		oracle = satattack.OracleFunc(inj.WrapOracle(oracle.Query))
-	}
+	oracle := satattack.OracleFromCircuit(locked, correctKey)
 	outcome := func(res *satattack.Result) *AttackOutcome {
 		return &AttackOutcome{
 			Iterations: res.Iterations,
@@ -834,7 +785,7 @@ func runGateAttack(ctx context.Context, locked *netlist.Circuit, correctKey []bo
 		}
 		return nil, err
 	}
-	if err := satattack.VerifyKey(ctx, locked, res.Key, clean, cfg.opts.Retry); err != nil {
+	if err := satattack.VerifyKey(ctx, locked, res.Key, oracle, cfg.opts.Retry); err != nil {
 		return nil, err
 	}
 	return outcome(res), nil

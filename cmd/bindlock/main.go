@@ -19,7 +19,8 @@
 // are bit-identical at any -j. -metrics writes a metrics snapshot (JSON, or
 // Prometheus text with a .prom extension) on every exit, including
 // interrupted ones. -fault-plan injects a deterministic fault schedule into
-// the compute stack's fail-points ("sim.run", "sat.solve") for chaos runs.
+// the compute stack's fail-points ("sim.run", "sat.solve") and into the
+// oracle queries of -attack, for chaos runs.
 //
 // -attack elaborates the co-designed datapath to a flat gate-level netlist
 // and runs the oracle-guided SAT attack against it, demonstrating the Eqn. 1
@@ -68,7 +69,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "bound the whole run; 0 means no limit")
 	jobs := flag.Int("j", 0, "worker pool size for simulation and co-design; 0 means GOMAXPROCS (output is identical at any -j)")
 	verbose := flag.Bool("v", false, "stream per-phase progress to stderr")
-	faultPlan := flag.String("fault-plan", "", "inject a deterministic fault schedule into the compute stack, e.g. seed=42,fail:sim.run=100")
+	faultPlan := flag.String("fault-plan", "", "inject a deterministic fault schedule into the compute stack and the -attack oracle, e.g. seed=42,fail:sim.run=100")
 	metricsFile := flag.String("metrics", "", "write a metrics snapshot to this file on exit (JSON, or Prometheus text for .prom)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -284,7 +285,8 @@ func run(ctx context.Context, bench, src, workload, className string, fus, locke
 			}
 			fmt.Printf("\nCycSAT attack on the cyclically locked datapath (%d logic gates, %d cycles + %d decoys):\n",
 				ed.Circuit.LogicGates(), atk.cycles, atk.decoys)
-			out, err = bindlock.AttackDesignCyclic(ctx, ed, atk.cycles, atk.decoys, atk.seed, opts...)
+			opts = append(opts, bindlock.WithCyclicLock(atk.cycles, atk.decoys, atk.seed))
+			out, err = bindlock.AttackDesign(ctx, ed, opts...)
 		default:
 			return fmt.Errorf("unknown attack scheme %q (want sfll or cyclic)", atk.scheme)
 		}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	satattack [-fu adder|multiplier] [-width 3] [-scheme sfll|sfll-hd|xor|routing|cyclic]
+//	satattack [-fu adder|multiplier] [-width 3] [-scheme sfll|sfll-hd|xor|routing|anti-sat|cyclic]
 //	          [-secret N] [-h 1] [-keys 8] [-cycles 2] [-decoys 2] [-cycsat]
 //	          [-seed 1] [-timeout 30s] [-j N] [-progress]
 //	          [-retries 1] [-votes 1] [-quorum 0] [-fault-plan SPEC]
@@ -292,19 +292,11 @@ func attack(ctx context.Context, fu string, width int, scheme string, secretFlag
 		}
 		fmt.Printf("resuming from %s: %d DIPs already answered\n", rb.resume, cp.Iterations)
 	}
-	// clean stays unwrapped: the final key verification models a bench check
-	// under good conditions, not another noisy campaign query.
-	clean := satattack.OracleFromCircuit(locked, key)
-	oracle := clean
+	// Only the attack queries through the plan: the final key verification
+	// models a bench check under good conditions.
+	oracle := satattack.OracleFromCircuit(locked, key)
 	if !rb.plan.Zero() {
-		inj := fault.New(rb.plan).WithRegistry(metrics.FromContext(ctx))
-		if cp != nil {
-			// Schedule continuity: faults already drawn for the answered
-			// calls are not re-drawn after resume.
-			inj.Seek(cp.OracleCalls)
-		}
-		oracle = satattack.OracleFunc(inj.WrapOracle(oracle.Query))
-		ctx = fault.NewContext(ctx, inj)
+		ctx = fault.NewContext(ctx, fault.New(rb.plan).WithRegistry(metrics.FromContext(ctx)))
 		fmt.Printf("fault plan active: %s\n", rb.plan)
 	}
 	start := time.Now()
@@ -351,7 +343,7 @@ func attack(ctx context.Context, fu string, width int, scheme string, secretFlag
 		}
 		return err
 	}
-	if err := satattack.VerifyKey(ctx, locked, res.Key, clean, retry); err != nil {
+	if err := satattack.VerifyKey(ctx, locked, res.Key, oracle, retry); err != nil {
 		return fmt.Errorf("recovered key failed verification: %w", err)
 	}
 	fmt.Printf("attack succeeded: %d iterations in %v; recovered key verified\n",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"bindlock/internal/metrics"
@@ -146,5 +147,65 @@ func TestUnconstrainedAttackFailsOnCyclicKernel(t *testing.T) {
 	}
 	if err := satattack.VerifyKey(ctx, locked, cres.Key, oracle); err != nil {
 		t.Fatalf("constrained key failed verification: %v", err)
+	}
+}
+
+// TestWithCyclicLock pins the cyclic lock option of the two facade attack
+// functions. LockAndAttack, which then ignores its secret, recovers the
+// same keys in the same DIP counts as the cyclic adder attacks the facade
+// ran before the option existed. AttackDesign runs the CycSAT attack that
+// satattack runs on the same cyclic lock of an unlocked elaboration, leaves
+// the elaboration unlocked, and refuses an SFLL-locked one.
+func TestWithCyclicLock(t *testing.T) {
+	for _, tc := range []struct {
+		bits, cycles, decoys int
+		seed                 int64
+		dips                 int
+		key                  string
+	}{
+		{3, 2, 2, 1, 2, "1110"},
+		{4, 2, 2, 1, 1, "0000"},
+		{4, 1, 3, 5, 2, "1011"},
+	} {
+		reg := NewMetricsRegistry()
+		out, err := LockAndAttack(WithMetricsContext(context.Background(), reg), tc.bits, 0b1011,
+			WithCyclicLock(tc.cycles, tc.decoys, tc.seed))
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if out.Iterations != tc.dips || bitString(out.Key) != tc.key {
+			t.Errorf("%+v: %d DIPs, key %s", tc, out.Iterations, bitString(out.Key))
+		}
+		if n, _ := reg.Snapshot().Counter("cyclock_cycles_inserted"); n != int64(tc.cycles) {
+			t.Errorf("%+v: cyclock_cycles_inserted = %d", tc, n)
+		}
+	}
+
+	ctx := context.Background()
+	ed := elaborateUnlockedBenchmark(t, "fir")
+	out, err := AttackDesign(ctx, ed, WithCyclicLock(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ed.Circuit.Feedback) != 0 || len(ed.Circuit.Keys) != 0 {
+		t.Fatal("AttackDesign locked the elaborated circuit in place")
+	}
+	locked, key, err := netlist.LockCyclic(ed.Circuit, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := satattack.Attack(ctx, locked, satattack.OracleFromCircuit(locked, key), satattack.Options{CycleBreak: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Iterations != res.Iterations || bitString(out.Key) != bitString(res.Key) || out.GateCount != locked.LogicGates() {
+		t.Errorf("AttackDesign: %d DIPs, key %s, %d gates; satattack: %d DIPs, key %s, %d gates",
+			out.Iterations, bitString(out.Key), out.GateCount, res.Iterations, bitString(res.Key), locked.LogicGates())
+	}
+
+	sfll := elaborateLockedBenchmark(t, "fir")
+	want := fmt.Sprintf("bindlock: attack design cyclic: design already carries %d key bits; elaborate with a nil lock config", len(sfll.CorrectKey))
+	if _, err := AttackDesign(ctx, sfll, WithCyclicLock(2, 2, 1)); err == nil || err.Error() != want {
+		t.Fatalf("AttackDesign with WithCyclicLock on an SFLL-locked design: %v, want %q", err, want)
 	}
 }

@@ -217,14 +217,6 @@ func New(p Plan) *Injector {
 	return &Injector{plan: p, sites: map[string]uint64{}, sleep: time.Sleep}
 }
 
-// Plan returns the injector's fault plan.
-func (i *Injector) Plan() Plan {
-	if i == nil {
-		return Plan{}
-	}
-	return i.plan
-}
-
 // WithRegistry attaches a metrics registry; every injected fault is counted
 // under fault_* names. It returns the injector for chaining.
 func (i *Injector) WithRegistry(r *metrics.Registry) *Injector {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"bindlock/internal/fault"
 	"bindlock/internal/interrupt"
 	"bindlock/internal/metrics"
 	"bindlock/internal/netlist"
@@ -116,7 +117,9 @@ func ApproxAttack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, o
 	}
 
 	// Estimate the candidate key's error rate by random queries, drawn
-	// sample by sample from the seeded stream and compared 64 at a time.
+	// sample by sample from the seeded stream and compared 64 at a time,
+	// through the fault injector the DIP loop queried through.
+	oracle = faultyOracle(fault.FromContext(ctx), oracle)
 	q := newQuerier(oracle, opts.Retry, opts.Votes, opts.Quorum, metrics.FromContext(ctx))
 	rng := rand.New(rand.NewSource(opts.Seed))
 	v := newVerifier(ctx, locked, res.Key, oracle, q)

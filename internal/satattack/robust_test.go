@@ -663,6 +663,73 @@ func TestCheckpointTornTailResumes(t *testing.T) {
 	requireSameAttack(t, res, full)
 }
 
+// TestResumeRealignsContextFaultSchedule runs a checkpointing attack under a
+// fault plan carried on the context, kills it after k DIPs and resumes it
+// under a fresh injector of the same plan. Attack seeks that injector to the
+// checkpoint's oracle-call count, so the resumed run draws the faults an
+// uninterrupted run draws: the same DIPs and key, and the same oracle-call
+// count, retries included, after every DIP.
+func TestResumeRealignsContextFaultSchedule(t *testing.T) {
+	locked, oracle := sfllAdder4(t)
+	plan := fault.Plan{Seed: 11, TransientRate: 0.2}
+	faulted := func(ctx context.Context, reg *metrics.Registry) context.Context {
+		return fault.NewContext(metrics.NewContext(ctx, reg), fault.New(plan).WithRegistry(reg))
+	}
+	dir := t.TempDir()
+	opts := Options{
+		Retry:          RetryPolicy{MaxAttempts: 8, BaseDelay: time.Microsecond, Seed: 1},
+		CheckpointPath: filepath.Join(dir, "full.ckpt"),
+	}
+	reg := metrics.New()
+	full, err := Attack(faulted(context.Background(), reg), locked, oracle, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reg.Snapshot().Counter("fault_transients_total"); n == 0 {
+		t.Fatal("fault plan injected no transients; the test is vacuous")
+	}
+	fullCP, err := LoadCheckpoint(opts.CheckpointPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 10
+	opts.CheckpointPath = filepath.Join(dir, "killed.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hook := progress.Func(func(e progress.Event) {
+		if e.Kind == progress.Step && e.Phase == "attack" && e.Done >= k {
+			cancel()
+		}
+	})
+	if _, err := Attack(progress.NewContext(faulted(ctx, metrics.New()), hook), locked, oracle, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("attack cancelled at DIP %d returned %v", k, err)
+	}
+	cp, err := LoadCheckpoint(opts.CheckpointPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Iterations != k || cp.OracleCalls != fullCP.Calls[k-1] {
+		t.Fatalf("killed run left %d DIPs and %d oracle calls, want %d and %d",
+			cp.Iterations, cp.OracleCalls, k, fullCP.Calls[k-1])
+	}
+
+	opts.Resume = cp
+	res, err := Attack(faulted(context.Background(), metrics.New()), locked, oracle, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAttack(t, res, full)
+	final, err := LoadCheckpoint(opts.CheckpointPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.OracleCalls != fullCP.OracleCalls || !reflect.DeepEqual(final.Calls, fullCP.Calls) {
+		t.Fatalf("resumed run ended at %d oracle calls, uninterrupted at %d; per-DIP counts\n%v\n%v",
+			final.OracleCalls, fullCP.OracleCalls, final.Calls, fullCP.Calls)
+	}
+}
+
 // TestAttackCheckpointAnswerWidth: a recorded answer narrower than the
 // circuit's outputs is a checkpoint mismatch, not an index panic mid-replay.
 func TestAttackCheckpointAnswerWidth(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"bindlock/internal/cnf"
+	"bindlock/internal/fault"
 	"bindlock/internal/interrupt"
 	"bindlock/internal/metrics"
 	"bindlock/internal/netlist"
@@ -46,6 +47,15 @@ type OracleFunc func(inputs []bool) ([]bool, error)
 
 // Query implements Oracle.
 func (f OracleFunc) Query(inputs []bool) ([]bool, error) { return f(inputs) }
+
+// faultyOracle routes oracle through the injector. A nil injector leaves it
+// as it is, keeping an in-process oracle's 64-pattern path.
+func faultyOracle(inj *fault.Injector, oracle Oracle) Oracle {
+	if inj == nil {
+		return oracle
+	}
+	return OracleFunc(inj.WrapOracle(oracle.Query))
+}
 
 // OracleFromCircuit builds the standard evaluation oracle: the locked
 // circuit activated with its correct key (equivalently, the original
@@ -156,6 +166,9 @@ func normalizeSolver(name string) string {
 // with a typed error: errors.Is matches interrupt.ErrCancelled or
 // interrupt.ErrBudgetExceeded (and the underlying context error), and the
 // partial Result also rides inside the interrupt.Error.
+//
+// Oracle queries go through the context's fault injector, if any, which a
+// resumed attack first seeks to the checkpoint's oracle-call count.
 func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -196,16 +209,18 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 
 	mreg := metrics.FromContext(ctx)
 
-	q := newQuerier(oracle, opts.Retry, opts.Votes, opts.Quorum, mreg)
+	inj := fault.FromContext(ctx)
+	q := newQuerier(faultyOracle(inj, oracle), opts.Retry, opts.Votes, opts.Quorum, mreg)
 	replay := opts.Resume
 	if replay != nil {
 		if err := replay.validateFor(locked, solverName, opts.CycleBreak); err != nil {
 			return nil, err
 		}
-		// Physical-call continuity: the querier resumes counting where the
-		// interrupted run stopped, so later checkpoints stay cumulative and
-		// a fault injector Seek'd to OracleCalls stays schedule-aligned.
+		// Physical-call continuity: the querier and the fault injector
+		// resume counting where the interrupted run stopped, so later
+		// checkpoints stay cumulative and no served call's faults re-draw.
 		q.calls = replay.OracleCalls
+		inj.Seek(replay.OracleCalls)
 	}
 
 	// Miter solver: two key copies over shared inputs, outputs forced to

@@ -262,16 +262,19 @@ func codesignPayload(r *resolved, candidates int, res *bindlock.CoDesignResult) 
 	return out
 }
 
-// runAttack mirrors the facade's LockAndAttack, run directly over the
-// gate-level stack because the daemon owns its checkpoints. When a
-// checkpoint directory is configured the attack persists its oracle
-// transcript under the job's fingerprint key; a resubmission after a drain
-// or crash resumes from it and — by the transcript-replay contract —
-// recovers a bit-identical key. Unlike the facade, which fails on a bad
-// checkpoint, runAttack reads the file through the fault injector's
-// corruption site, answers a rejected or diverging transcript with a cold
-// restart (file dropped, the context's injector rewound to call zero), and
-// deletes the transcript once the key verifies.
+// runAttack runs the attack the facade's LockAndAttack runs (SFLL-HD(0) on
+// the secret, or WithCyclicLock's cyclic lock), directly over the
+// gate-level stack because the daemon owns its checkpoints. Faults reach
+// the oracle the same way in both: through the context's injector, which
+// satattack.Attack consults and realigns on resume. When a checkpoint
+// directory is configured the attack persists its oracle transcript under
+// the job's fingerprint key; a resubmission after a drain or crash resumes
+// from it and — by the transcript-replay contract — recovers a
+// bit-identical key. Unlike the facade, which fails on a bad checkpoint,
+// runAttack reads the file through the fault injector's corruption site,
+// answers a rejected or diverging transcript with a cold restart (file
+// dropped, the context's injector rewound to call zero), and deletes the
+// transcript once the key verifies.
 func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 	r := j.req
 	base, err := netlist.NewAdder(r.OperandBits)
@@ -326,29 +329,15 @@ func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 			coldRestart = true
 		}
 	}
-	// The clean oracle stays unwrapped for the final key verification; the
-	// attack oracle goes through the context's fault injector when the daemon
-	// runs under a fault plan (chaos harness, noisy-tester campaigns). On
-	// resume the injector counter must first be realigned to the checkpoint's
-	// oracle-call count — the calls before it were served in a previous
-	// process, and the schedule has to continue exactly where an
-	// uninterrupted run would be, not re-draw the served prefix's faults
-	// against post-resume queries (that divergence was the daemon-side bug
-	// the CLI's resume path never had).
-	oracle := satattack.OracleFromCircuit(locked, key)
-	attackOracle := oracle
+	// Attack realigns the context's fault injector on resume; rewinding it
+	// for a cold restart is the daemon's policy, so it is done here: the
+	// rejected checkpoint's writer advanced the schedule.
 	inj := fault.FromContext(ctx)
-	if inj != nil {
-		if opts.Resume != nil {
-			inj.Seek(opts.Resume.OracleCalls)
-		} else if coldRestart {
-			// The rejected checkpoint's writer advanced the schedule; its
-			// replacement cold run starts at call zero.
-			inj.Seek(0)
-		}
-		attackOracle = satattack.OracleFunc(inj.WrapOracle(oracle.Query))
+	if coldRestart {
+		inj.Seek(0)
 	}
-	res, err := satattack.Attack(ctx, locked, attackOracle, opts)
+	oracle := satattack.OracleFromCircuit(locked, key)
+	res, err := satattack.Attack(ctx, locked, oracle, opts)
 	if err != nil && errors.Is(err, satattack.ErrCheckpointMismatch) && opts.Resume != nil {
 		// The transcript belongs to some other run: discard and restart.
 		// A cold run's fault schedule starts at call zero, so the injector
@@ -358,7 +347,7 @@ func (m *Manager) runAttack(ctx context.Context, j *job) (any, error) {
 		j.setResumed("")
 		opts.Resume = nil
 		inj.Seek(0)
-		res, err = satattack.Attack(ctx, locked, attackOracle, opts)
+		res, err = satattack.Attack(ctx, locked, oracle, opts)
 	}
 	if err != nil {
 		if opts.CheckpointPath != "" {

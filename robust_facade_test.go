@@ -37,18 +37,35 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 
 // TestLockAndAttackUnderFaultPlan drives the facade's whole robustness
 // surface at once: a transient-heavy fault plan between attack and oracle,
-// ridden out by retry and voting.
+// carried on the context and ridden out by retry and voting. Transients
+// only fail queries, so the attack lands on the fault-free DIP count and
+// key.
 func TestLockAndAttackUnderFaultPlan(t *testing.T) {
-	out, err := LockAndAttack(context.Background(), 3, 0b110101,
-		WithFaultPlan(FaultPlan{Seed: 7, TransientRate: 0.15}),
+	reg := NewMetricsRegistry()
+	ctx := WithFaultPlanContext(WithMetricsContext(context.Background(), reg),
+		FaultPlan{Seed: 7, TransientRate: 0.15})
+	out, err := LockAndAttack(ctx, 3, 0b110101,
 		WithAttackRetry(RetryPolicy{MaxAttempts: 6, BaseDelay: time.Microsecond, Seed: 7}),
 		WithAttackVoting(3, 2),
 	)
 	if err != nil {
 		t.Fatalf("attack under fault plan: %v", err)
 	}
-	if out.Iterations == 0 || out.KeyBits == 0 {
-		t.Fatalf("implausible outcome: %+v", out)
+	if out.Iterations != 60 || bitString(out.Key) != "101011" {
+		t.Fatalf("attack under fault plan: %d DIPs, key %s; want 60 and 101011", out.Iterations, bitString(out.Key))
+	}
+	if n, _ := reg.Snapshot().Counter("fault_transients_total"); n == 0 {
+		t.Fatal("fault plan injected no transients into the attack's oracle")
+	}
+}
+
+// TestLockAndAttackFaultPlanReachesOracle: without retry, the first
+// injected transient exhausts the query, so the same attack fails with
+// ErrOracleUnavailable.
+func TestLockAndAttackFaultPlanReachesOracle(t *testing.T) {
+	ctx := WithFaultPlanContext(context.Background(), FaultPlan{Seed: 7, TransientRate: 0.15})
+	if _, err := LockAndAttack(ctx, 3, 0b110101); !errors.Is(err, ErrOracleUnavailable) {
+		t.Fatalf("attack under a transient plan without retry returned %v, want ErrOracleUnavailable", err)
 	}
 }
 
