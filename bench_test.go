@@ -20,6 +20,7 @@ package bindlock
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -371,27 +372,49 @@ func BenchmarkSATSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkSATAttack attacks an SFLL-locked 3-bit adder end to end.
+// BenchmarkSATAttack attacks an SFLL-locked 3-bit adder end to end, and
+// fir's kernel miter under the repository benchmark's attack-sfll recipe
+// (2 FUs, 120 samples, SFLL on the top candidate minterm, a 24-DIP budget,
+// 10,000 conflicts per solve), reporting the bytes a realistic miter
+// allocates per attack.
 func BenchmarkSATAttack(b *testing.B) {
-	base, err := netlist.NewAdder(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	locked, key, err := netlist.LockSFLLHD0(base, []uint64{0b101101})
-	if err != nil {
-		b.Fatal(err)
-	}
-	oracle := satattack.OracleFromCircuit(locked, key)
-	var iters int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := satattack.Attack(context.Background(), locked, oracle, satattack.Options{})
+	b.Run("adder3", func(b *testing.B) {
+		base, err := netlist.NewAdder(3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		iters = res.Iterations
-	}
-	b.ReportMetric(float64(iters), "DIPs")
+		locked, key, err := netlist.LockSFLLHD0(base, []uint64{0b101101})
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle := satattack.OracleFromCircuit(locked, key)
+		var iters int
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := satattack.Attack(context.Background(), locked, oracle, satattack.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters = res.Iterations
+		}
+		b.ReportMetric(float64(iters), "DIPs")
+	})
+	b.Run("fir", func(b *testing.B) {
+		ed := elaborateLockedBenchmark(b, "fir")
+		oracle := satattack.OracleFromCircuit(ed.Circuit, ed.CorrectKey)
+		opts := satattack.Options{MaxIterations: 24, MaxConflicts: 10000}
+		var iters int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := satattack.Attack(context.Background(), ed.Circuit, oracle, opts)
+			if err != nil && !errors.Is(err, satattack.ErrIterationBudget) && !errors.Is(err, sat.ErrBudget) {
+				b.Fatal(err)
+			}
+			iters = res.Iterations
+		}
+		b.ReportMetric(float64(iters), "DIPs")
+	})
 }
 
 // BenchmarkBindObfAware binds the dct adders obfuscation-aware.

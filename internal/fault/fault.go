@@ -224,7 +224,9 @@ func (i *Injector) WithRegistry(r *metrics.Registry) *Injector {
 	return i
 }
 
-// Calls returns the number of oracle calls observed so far.
+// Calls returns the number of oracle calls observed so far. Only queries
+// through a WrapOracle wrapper count, so it stays where Seek left it (0 by
+// default) under a plan without oracle faults.
 func (i *Injector) Calls() uint64 {
 	if i == nil {
 		return 0
@@ -237,6 +239,8 @@ func (i *Injector) Calls() uint64 {
 // Seek realigns the oracle call counter, as when resuming an attack from a
 // checkpoint: calls before n were served in a previous process, and the
 // schedule must continue from call n exactly as an uninterrupted run would.
+// A plan without oracle faults has no oracle schedule, so seeking its
+// counter changes nothing but Calls.
 func (i *Injector) Seek(n uint64) {
 	if i == nil {
 		return
@@ -259,12 +263,24 @@ func (i *Injector) callRNG(surface string, n uint64) *rand.Rand {
 	return rand.New(rand.NewSource(i.plan.Seed ^ int64(h)))
 }
 
+// WrapsOracle reports whether WrapOracle interposes on queries: whether the
+// injector's plan has a transient, bit-flip, latency or outage fault. A plan
+// of fail-points or disk corruption alone leaves every oracle as it is.
+func (i *Injector) WrapsOracle() bool {
+	if i == nil {
+		return false
+	}
+	p := i.plan
+	return p.TransientRate != 0 || p.BitFlipRate != 0 || p.LatencyRate != 0 || p.OutageLen != 0
+}
+
 // WrapOracle interposes the plan on an oracle-shaped query function. The
 // wrapper draws, per call and in fixed order: outage membership, transient
 // failure, latency spike, then per-bit flips — so the fault seen by call n
-// never depends on how many bits earlier calls returned.
+// never depends on how many bits earlier calls returned. Without oracle
+// faults (WrapsOracle false) it returns oracle unchanged and counts nothing.
 func (i *Injector) WrapOracle(oracle func([]bool) ([]bool, error)) func([]bool) ([]bool, error) {
-	if i == nil || i.plan.Zero() {
+	if !i.WrapsOracle() {
 		return oracle
 	}
 	return func(inputs []bool) ([]bool, error) {

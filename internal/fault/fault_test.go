@@ -176,12 +176,33 @@ func TestHitFailEvery(t *testing.T) {
 	}
 }
 
+// TestZeroPlanWrapsNothing pins that only oracle faults (transient,
+// bit-flip, latency, outage) make WrapOracle interpose: a zero plan, or one
+// of fail-points or disk corruption alone, passes every query straight
+// through and counts no oracle call.
 func TestZeroPlanWrapsNothing(t *testing.T) {
-	called := false
-	oracle := func(in []bool) ([]bool, error) { called = true; return in, nil }
-	w := New(Plan{Seed: 99}).WrapOracle(oracle)
-	if _, err := w(nil); err != nil || !called {
-		t.Fatalf("zero plan must pass through: err=%v called=%v", err, called)
+	for _, p := range []Plan{
+		{Seed: 99},
+		{Seed: 99, FailEvery: map[string]uint64{"sim.run": 1000}},
+		{Seed: 99, CorruptRate: 1},
+	} {
+		called := false
+		oracle := func(in []bool) ([]bool, error) { called = true; return in, nil }
+		i := New(p)
+		w := i.WrapOracle(oracle)
+		if _, err := w(nil); err != nil || !called {
+			t.Fatalf("plan %q must pass through: err=%v called=%v", p, err, called)
+		}
+		if i.WrapsOracle() || i.Calls() != 0 {
+			t.Errorf("plan %q: WrapsOracle %v after %d counted calls, want false after 0", p, i.WrapsOracle(), i.Calls())
+		}
+	}
+	for _, p := range []Plan{
+		{TransientRate: 0.1}, {BitFlipRate: 0.1}, {LatencyRate: 0.1}, {OutageLen: 1},
+	} {
+		if !New(p).WrapsOracle() {
+			t.Errorf("plan %q has an oracle fault but WrapsOracle is false", p)
+		}
 	}
 }
 

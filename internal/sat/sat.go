@@ -7,9 +7,12 @@
 // The clause database is a single flat arena ([]Lit) addressed by packed
 // ClauseRef offsets, and every watch-list entry carries a blocker literal, so
 // the propagation hot loop usually decides a clause is satisfied from the
-// watcher alone without touching clause memory. The DPLL engine (dpll.go) is
-// the second registered backend, kept as the differential reference for the
-// fuzz and assumption suites.
+// watcher alone without touching clause memory. The watch lists' headers sit
+// in pages of 512 literals that never move once full, so a formula that keeps
+// growing (the SAT attack's miter gains two circuit copies per DIP) never
+// re-copies the watch table. The DPLL engine (dpll.go) is the second
+// registered backend, kept as the differential reference for the fuzz and
+// assumption suites.
 //
 // It is the engine behind the oracle-guided SAT attack of Subramanyan et al.
 // [10] implemented in internal/satattack, which the paper uses as the
@@ -116,6 +119,18 @@ type watcher struct {
 	blocker Lit
 }
 
+// The watch table is paged: a page holds the watch lists of watchPageSize
+// consecutive literals (256 variables), 12 KiB of slice headers. The first
+// page grows with the formula, so a solver of a few variables pays only for
+// the lists it has. NewVar allocates every later page whole when a
+// variable's literals start it, and that page never moves: growing the
+// formula appends one page to the table instead of re-copying (and
+// re-zeroing, under GC write barriers) every list header so far.
+const (
+	watchPageBits = 9
+	watchPageSize = 1 << watchPageBits
+)
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call NewSolver.
 type Solver struct {
 	arena        []Lit       // flat clause storage; see the layout above
@@ -126,7 +141,7 @@ type Solver struct {
 	learntRefs   []ClauseRef // live learned clauses, attach order
 	claInc       float64
 
-	watches [][]watcher // per literal: watchers of clauses watching it
+	watches [][][]watcher // per literal, paged: watchers of clauses watching it
 
 	value    []int8      // per literal: lTrue, lFalse or lUndef
 	level    []int32     // per var: decision level of assignment
@@ -168,7 +183,7 @@ const DefaultMaxConflicts = 20_000_000
 
 // NewSolver returns an empty solver.
 func NewSolver() *Solver {
-	s := &Solver{ok: true, varInc: 1, claInc: 1}
+	s := &Solver{ok: true, varInc: 1, claInc: 1, watches: make([][][]watcher, 1)}
 	s.heap = newVarHeap(&s.activity)
 	return s
 }
@@ -190,9 +205,19 @@ func (s *Solver) NewVar() int {
 	s.polarity = append(s.polarity, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	switch lit := int(NewLit(v, false)); {
+	case lit < watchPageSize:
+		s.watches[0] = append(s.watches[0], nil, nil)
+	case lit&(watchPageSize-1) == 0:
+		s.watches = append(s.watches, make([][]watcher, watchPageSize))
+	}
 	s.heap.push(v)
 	return v
+}
+
+// watchList returns literal l's watch list in place.
+func (s *Solver) watchList(l Lit) *[]watcher {
+	return &s.watches[l>>watchPageBits][l&(watchPageSize-1)]
 }
 
 // clauseLits returns the clause's literal slice, aliasing the arena.
@@ -318,8 +343,9 @@ func (s *Solver) attach(lits []Lit, learned bool) ClauseRef {
 	} else {
 		s.problemCount++
 	}
-	s.watches[lits[0]] = append(s.watches[lits[0]], watcher{ref, lits[1]})
-	s.watches[lits[1]] = append(s.watches[lits[1]], watcher{ref, lits[0]})
+	w0, w1 := s.watchList(lits[0]), s.watchList(lits[1])
+	*w0 = append(*w0, watcher{ref, lits[1]})
+	*w1 = append(*w1, watcher{ref, lits[0]})
 	return ref
 }
 
@@ -340,7 +366,8 @@ func (s *Solver) propagate() ClauseRef {
 		s.qhead++
 		s.Propagations++
 		falseLit := p.Neg()
-		ws := s.watches[falseLit]
+		wl := s.watchList(falseLit)
+		ws := *wl
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
@@ -366,7 +393,8 @@ func (s *Solver) propagate() ClauseRef {
 			for k := 2; k < n; k++ {
 				if s.valueLit(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1]] = append(s.watches[lits[1]], watcher{w.ref, other})
+					nl := s.watchList(lits[1])
+					*nl = append(*nl, watcher{w.ref, other})
 					found = true
 					break
 				}
@@ -379,12 +407,12 @@ func (s *Solver) propagate() ClauseRef {
 			if !s.enqueue(other, w.ref) {
 				// Conflict: restore the remaining watches and bail.
 				kept = append(kept, ws[wi+1:]...)
-				s.watches[falseLit] = kept
+				*wl = kept
 				s.qhead = len(s.trail)
 				return w.ref
 			}
 		}
-		s.watches[falseLit] = kept
+		*wl = kept
 	}
 	return refUndef
 }
@@ -559,16 +587,17 @@ func (s *Solver) sweep() {
 		r += tot
 	}
 	s.arena = s.arena[:w]
-	for li := range s.watches {
-		ws := s.watches[li]
-		kept := ws[:0]
-		for _, wt := range ws {
-			if nr, ok := remap[wt.ref]; ok {
-				wt.ref = nr
-				kept = append(kept, wt)
+	for _, page := range s.watches {
+		for li, ws := range page {
+			kept := ws[:0]
+			for _, wt := range ws {
+				if nr, ok := remap[wt.ref]; ok {
+					wt.ref = nr
+					kept = append(kept, wt)
+				}
 			}
+			page[li] = kept
 		}
-		s.watches[li] = kept
 	}
 	for v := range s.reason {
 		if s.reason[v] != refUndef {
@@ -924,11 +953,12 @@ func (s *Solver) Err() error { return s.err }
 // varHeap is an indexed max-heap over variable activities. Equal
 // activities are ordered by array position alone, so the exact sequence of
 // pushes, pops and sifts is part of the decision order: every pinned
-// transcript depends on it.
+// transcript depends on it. Entries are int32, as a Lit already limits
+// variables to 2^31.
 type varHeap struct {
 	act  *[]float64
-	heap []int
-	pos  []int // var -> heap index, -1 if absent
+	heap []int32
+	pos  []int32 // var -> heap index, -1 if absent
 }
 
 func newVarHeap(act *[]float64) *varHeap { return &varHeap{act: act} }
@@ -946,11 +976,11 @@ func (h *varHeap) up(i int) {
 			break
 		}
 		h.heap[i] = h.heap[parent]
-		h.pos[h.heap[i]] = i
+		h.pos[h.heap[i]] = int32(i)
 		i = parent
 	}
 	h.heap[i] = v
-	h.pos[v] = i
+	h.pos[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
@@ -969,11 +999,11 @@ func (h *varHeap) down(i int) {
 			break
 		}
 		h.heap[i] = h.heap[child]
-		h.pos[h.heap[i]] = i
+		h.pos[h.heap[i]] = int32(i)
 		i = child
 	}
 	h.heap[i] = v
-	h.pos[v] = i
+	h.pos[v] = int32(i)
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
@@ -985,8 +1015,8 @@ func (h *varHeap) push(v int) {
 	if h.pos[v] != -1 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.pos[v] = len(h.heap) - 1
+	h.heap = append(h.heap, int32(v))
+	h.pos[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
 
@@ -999,7 +1029,7 @@ func (h *varHeap) pop() int {
 	if last > 0 {
 		h.down(0)
 	}
-	return v
+	return int(v)
 }
 
 // reset empties the heap in one pass.
@@ -1012,6 +1042,6 @@ func (h *varHeap) reset() {
 
 func (h *varHeap) update(v int) {
 	if v < len(h.pos) && h.pos[v] != -1 {
-		h.up(h.pos[v])
+		h.up(int(h.pos[v]))
 	}
 }

@@ -3,6 +3,7 @@ package sat
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -524,43 +525,57 @@ func TestStatisticsPopulated(t *testing.T) {
 }
 
 // TestReduceDBStress drives enough conflicts to trigger learned-clause
-// database reduction and checks the solver still decides correctly.
+// database reduction and checks the solver still decides correctly. The
+// padded run creates unconstrained variables first, so PHP(8,7)'s literals
+// straddle the first watch-page boundary and sweep rewrites watch lists on
+// both sides of it.
 func TestReduceDBStress(t *testing.T) {
-	// PHP(8,7): UNSAT with thousands of conflicts.
-	s := NewSolver()
-	n, m := 8, 7
-	vars := make([][]int, n)
-	for p := range vars {
-		vars[p] = make([]int, m)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < n; p++ {
-		lits := make([]Lit, m)
-		for h := 0; h < m; h++ {
-			lits[h] = NewLit(vars[p][h], false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < m; h++ {
-		for p1 := 0; p1 < n; p1++ {
-			for p2 := p1 + 1; p2 < n; p2++ {
-				s.AddClause(NewLit(vars[p1][h], true), NewLit(vars[p2][h], true))
+	for _, pad := range []int{0, watchPageSize/2 - 28} {
+		t.Run(fmt.Sprintf("pad=%d", pad), func(t *testing.T) {
+			// PHP(8,7): UNSAT with thousands of conflicts.
+			s := NewSolver()
+			for i := 0; i < pad; i++ {
+				s.NewVar()
 			}
-		}
-	}
-	ok, err := s.Solve(context.Background())
-	if err != nil || ok {
-		t.Fatalf("PHP(8,7) = %v, %v, want UNSAT", ok, err)
-	}
-	if s.Conflicts < 1000 {
-		t.Skipf("only %d conflicts; reduceDB untested on this machine", s.Conflicts)
-	}
-	// Reduction must actually have removed clauses: the live learned count
-	// trails the number of learned clauses ever attached.
-	if removed := int(s.learnedTotal) - s.learnts; removed == 0 {
-		t.Errorf("no clauses removed after %d conflicts", s.Conflicts)
+			n, m := 8, 7
+			vars := make([][]int, n)
+			for p := range vars {
+				vars[p] = make([]int, m)
+				for h := range vars[p] {
+					vars[p][h] = s.NewVar()
+				}
+			}
+			first, last := NewLit(vars[0][0], false), NewLit(vars[n-1][m-1], true)
+			if pad > 0 && first>>watchPageBits == last>>watchPageBits {
+				t.Fatalf("literals %v..%v share one watch page", first, last)
+			}
+			for p := 0; p < n; p++ {
+				lits := make([]Lit, m)
+				for h := 0; h < m; h++ {
+					lits[h] = NewLit(vars[p][h], false)
+				}
+				s.AddClause(lits...)
+			}
+			for h := 0; h < m; h++ {
+				for p1 := 0; p1 < n; p1++ {
+					for p2 := p1 + 1; p2 < n; p2++ {
+						s.AddClause(NewLit(vars[p1][h], true), NewLit(vars[p2][h], true))
+					}
+				}
+			}
+			ok, err := s.Solve(context.Background())
+			if err != nil || ok {
+				t.Fatalf("PHP(8,7) = %v, %v, want UNSAT", ok, err)
+			}
+			if s.Conflicts < 1000 {
+				t.Skipf("only %d conflicts; reduceDB untested on this machine", s.Conflicts)
+			}
+			// Reduction must actually have removed clauses: the live learned
+			// count trails the number of learned clauses ever attached.
+			if removed := int(s.learnedTotal) - s.learnts; removed == 0 {
+				t.Errorf("no clauses removed after %d conflicts", s.Conflicts)
+			}
+		})
 	}
 }
 

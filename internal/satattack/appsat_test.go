@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"bindlock/internal/fault"
 	"bindlock/internal/interrupt"
+	"bindlock/internal/metrics"
 	"bindlock/internal/netlist"
 )
 
@@ -158,5 +160,46 @@ func TestApproxAttackDefaults(t *testing.T) {
 	}
 	if res.Duration <= 0 {
 		t.Error("duration not recorded")
+	}
+}
+
+// TestApproxAttackFailPointPlanKeepsOracle pins that a fault plan without
+// oracle faults leaves the attack's oracle alone: under a fail-point-only
+// plan no query is counted as a faultable oracle call, the in-process oracle
+// keeps its 64-lane path, and the approximate attack returns the no-plan
+// result.
+func TestApproxAttackFailPointPlanKeepsOracle(t *testing.T) {
+	base, _ := netlist.NewAdder(8)
+	locked, key, err := netlist.LockSFLLHD0(base, []uint64{12345})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := OracleFromCircuit(locked, key)
+	plan := fault.Plan{FailEvery: map[string]uint64{"sim.run": 1000}}
+	if _, ok := faultyOracle(fault.New(plan), oracle).(circuitOracle); !ok {
+		t.Error("a fail-point-only plan wrapped the in-process oracle, hiding its 64-lane path")
+	}
+	run := func(inj *fault.Injector) (*ApproxResult, metrics.Snapshot) {
+		reg := metrics.New()
+		ctx := metrics.NewContext(context.Background(), reg)
+		if inj != nil {
+			ctx = fault.NewContext(ctx, inj.WithRegistry(reg))
+		}
+		res, err := ApproxAttack(ctx, locked, oracle, ApproxOptions{MaxIterations: 4, Seed: 12345})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, reg.Snapshot()
+	}
+	want, _ := run(nil)
+	got, snap := run(fault.New(plan))
+	if n, _ := snap.Counter("fault_oracle_calls_total"); n != 0 {
+		t.Errorf("fault_oracle_calls_total = %d under a fail-point-only plan, want 0", n)
+	}
+	if got.EstErrorRate != want.EstErrorRate || got.Iterations != want.Iterations ||
+		netlist.BitsToUint64(got.Key) != netlist.BitsToUint64(want.Key) {
+		t.Errorf("under the plan: %d DIPs, key %#x, est err %v; without it: %d DIPs, key %#x, est err %v",
+			got.Iterations, netlist.BitsToUint64(got.Key), got.EstErrorRate,
+			want.Iterations, netlist.BitsToUint64(want.Key), want.EstErrorRate)
 	}
 }

@@ -48,10 +48,11 @@ type OracleFunc func(inputs []bool) ([]bool, error)
 // Query implements Oracle.
 func (f OracleFunc) Query(inputs []bool) ([]bool, error) { return f(inputs) }
 
-// faultyOracle routes oracle through the injector. A nil injector leaves it
-// as it is, keeping an in-process oracle's 64-pattern path.
+// faultyOracle routes oracle through the injector. A nil injector, or one
+// whose plan has no oracle faults, leaves it as it is, keeping an in-process
+// oracle's 64-pattern path.
 func faultyOracle(inj *fault.Injector, oracle Oracle) Oracle {
-	if inj == nil {
+	if !inj.WrapsOracle() {
 		return oracle
 	}
 	return OracleFunc(inj.WrapOracle(oracle.Query))
@@ -228,7 +229,9 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 	// activation literal and each DIP search solves under the assumption
 	// that the guard holds, so the solver stays warm across iterations and
 	// the guard never contaminates the learned-clause DB when the key space
-	// collapses.
+	// collapses. satattack_encode_seconds times CNF encoding on its own: this
+	// miter, each answered DIP's I/O constraint and the key solver.
+	stopEncode := mreg.Timer("satattack_encode_seconds")
 	me := cnf.NewEncoderBackend(newSolver())
 	inst1, err := me.Encode(locked, nil, nil)
 	if err != nil {
@@ -259,6 +262,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		}
 	}
 	act := sat.NewLit(me.GuardedAtLeastOne(diffs), false)
+	stopEncode()
 
 	// CycSAT pre-processing: derive the cycle-breaking key constraints once
 	// and conjoin them over both miter key copies, so no DIP search ever
@@ -339,6 +343,7 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 			return nil
 		}
 		releaseMiter()
+		defer mreg.Timer("satattack_encode_seconds")()
 		var err error
 		ke, keyVars, err = buildKeySolver(newSolver(), locked, cycleClauses, res.DIPs, answers)
 		return err
@@ -457,11 +462,13 @@ func Attack(ctx context.Context, locked *netlist.Circuit, oracle Oracle, opts Op
 		answers = append(answers, outs)
 
 		// Constrain both miter key copies with the observed I/O behaviour.
-		if err := constrainIO(me, locked, dip, outs, inst1.Keys, inst2.Keys); err != nil {
-			stopIter()
+		stopEncode = mreg.Timer("satattack_encode_seconds")
+		err = constrainIO(me, locked, dip, outs, inst1.Keys, inst2.Keys)
+		stopEncode()
+		stopIter()
+		if err != nil {
 			return nil, err
 		}
-		stopIter()
 
 		// Checkpoint before the progress event: a hook that cancels on
 		// seeing iteration k then finds the file holding exactly k

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bindlock/internal/interrupt"
+	"bindlock/internal/metrics"
 	"bindlock/internal/progress"
 
 	"bindlock/internal/locking"
@@ -371,5 +372,37 @@ func TestAttackEmitsProgress(t *testing.T) {
 	}
 	if c.Steps("attack") != res.Iterations {
 		t.Errorf("step events = %d, want one per DIP (%d)", c.Steps("attack"), res.Iterations)
+	}
+}
+
+// TestAttackTimesEncoding pins what satattack_encode_seconds times: the
+// miter encode, each answered DIP's I/O constraint and the key solver's
+// build, one observation each, whether the attack completes or ends on its
+// DIP budget. Being a *_seconds histogram it stays out of the deterministic
+// metrics subset.
+func TestAttackTimesEncoding(t *testing.T) {
+	base, err := netlist.NewAdder(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, key, err := netlist.LockSFLLHD0(base, []uint64{0b101101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := OracleFromCircuit(locked, key)
+	for _, budget := range []int{0, 3} {
+		reg := metrics.New()
+		res, err := Attack(metrics.NewContext(context.Background(), reg), locked, oracle, Options{MaxIterations: budget})
+		if budget == 0 && err != nil || budget > 0 && !errors.Is(err, ErrIterationBudget) {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		snap := reg.Snapshot()
+		h, _ := snap.Histogram("satattack_encode_seconds")
+		if want := uint64(res.Iterations + 2); h.Count != want {
+			t.Errorf("budget %d: %d DIPs took %d encode observations, want %d", budget, res.Iterations, h.Count, want)
+		}
+		if _, ok := snap.Deterministic().Histogram("satattack_encode_seconds"); ok {
+			t.Error("satattack_encode_seconds is in the deterministic subset")
+		}
 	}
 }

@@ -30,7 +30,7 @@ const (
 // prepare, candidate selection, SFLL-rem lock config, obfuscation-aware
 // binding (plus a baseline binding for the other FU class when present) —
 // and elaborates it to the gate level.
-func elaborateLockedBenchmark(t *testing.T, name string) *ElaboratedDesign {
+func elaborateLockedBenchmark(t testing.TB, name string) *ElaboratedDesign {
 	t.Helper()
 	d, err := PrepareBenchmark(context.Background(), name,
 		WithMaxFUs(2), WithSamples(120), WithSeed(1))
